@@ -4,6 +4,11 @@ Each activation carries an open interval on which |sigma'| is bounded
 below by ``k_deriv``. Half-infinite regions (relu, linear) are replaced
 by a finite surrogate, which is what the active-fraction diagnostics use;
 the surrogate is recorded in every report.
+
+``value_and_deriv(H, value_out, deriv_out)`` writes sigma(H) and sigma'(H)
+into two caller-owned arrays of H's shape from one evaluation; it is what
+the GD loop calls every step. It gives exactly ``fn(H)`` and ``deriv(H)``,
+bit for bit. The output arrays must not alias H or each other.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ class ActivationSpec:
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
     deriv: Callable[[np.ndarray], np.ndarray]
+    value_and_deriv: Callable[[np.ndarray, np.ndarray, np.ndarray], None]
     lipschitz: float
     active_region: tuple[float, float]  # finite surrogate where needed
     k_deriv: float
@@ -40,9 +46,20 @@ def _relu_deriv(u):
     return (np.asarray(u) > 0).astype(np.float64)
 
 
+def _relu_value_and_deriv(H, value_out, deriv_out):
+    np.maximum(H, 0.0, out=value_out)
+    np.greater(H, 0.0, out=deriv_out)
+
+
 def _tanh_deriv(u):
     t = np.tanh(u)
     return 1.0 - t * t
+
+
+def _tanh_value_and_deriv(H, value_out, deriv_out):
+    np.tanh(H, out=value_out)
+    np.multiply(value_out, value_out, out=deriv_out)
+    np.subtract(1.0, deriv_out, out=deriv_out)
 
 
 def _linear(u):
@@ -53,10 +70,16 @@ def _ones_like(u):
     return np.ones_like(np.asarray(u, dtype=np.float64))
 
 
+def _linear_value_and_deriv(H, value_out, deriv_out):
+    np.add(H, 0.0, out=value_out)
+    deriv_out.fill(1.0)
+
+
 TANH = ActivationSpec(
     name="tanh",
     fn=np.tanh,
     deriv=_tanh_deriv,
+    value_and_deriv=_tanh_value_and_deriv,
     lipschitz=1.0,
     active_region=(-1.0, 1.0),
     k_deriv=1.0 - np.tanh(1.0) ** 2,  # ~0.419974
@@ -66,6 +89,7 @@ RELU = ActivationSpec(
     name="relu",
     fn=_relu,
     deriv=_relu_deriv,
+    value_and_deriv=_relu_value_and_deriv,
     lipschitz=1.0,
     active_region=(0.0, 3.0),  # finite surrogate of (0, inf)
     k_deriv=1.0,
@@ -75,6 +99,7 @@ LINEAR = ActivationSpec(
     name="linear",
     fn=_linear,
     deriv=_ones_like,
+    value_and_deriv=_linear_value_and_deriv,
     lipschitz=1.0,
     active_region=(-3.0, 3.0),  # finite surrogate of the whole line
     k_deriv=1.0,
@@ -94,10 +119,22 @@ def leaky_relu(slope: float) -> ActivationSpec:
         u = np.asarray(u, dtype=np.float64)
         return np.where(u > 0, 1.0, np.where(u < 0, slope, 0.0))
 
+    def value_and_deriv(H, value_out, deriv_out):
+        # value_out first holds the H > 0 indicator; each deriv entry is
+        # 0 + 1, slope + 0 or 0 + 0, so the sum is exact.
+        np.greater(H, 0.0, out=value_out)
+        np.less(H, 0.0, out=deriv_out)
+        deriv_out *= slope
+        deriv_out += value_out
+        # For 0 < slope <= 1, max(u, slope*u) picks the same entry as fn.
+        np.multiply(H, slope, out=value_out)
+        np.maximum(H, value_out, out=value_out)
+
     return ActivationSpec(
         name=f"leaky_relu({slope})",
         fn=fn,
         deriv=deriv,
+        value_and_deriv=value_and_deriv,
         lipschitz=1.0,
         active_region=(-3.0, 3.0),
         k_deriv=slope,

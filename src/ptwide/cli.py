@@ -24,7 +24,10 @@ from .errors import InvalidConfigError, PtwideError
 
 def _load_config(path: str, allowed: set[str]) -> dict:
     with open(path) as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InvalidConfigError(f"config {path} is not valid JSON: {exc}") from None
     unknown = set(raw) - allowed
     if unknown:
         raise InvalidConfigError(f"unknown config keys: {sorted(unknown)}")

@@ -74,6 +74,8 @@ def gen_wei(n: int, d: int, seed: int, split: str = "train") -> Dataset:
     (x1, x2, y) is one of the four atoms with probability 1/4 each, and
     x3..xd are i.i.d. uniform on [-1, 1], independent of everything else.
     """
+    if n < 1:
+        raise InvalidConfigError("n must be >= 1")
     if d < 3:
         raise InvalidConfigError("wei dataset requires d >= 3")
     ga = RngStream(seed, f"wei-atoms-{split}").generator()

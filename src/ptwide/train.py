@@ -6,6 +6,13 @@ W by Phi every step; the two are the same recursion written in different
 bases, and a cross-check against the explicit forward/grad/step path is
 part of the test suite. W itself is reconstructed at the end from the
 accumulated per-neuron signals.
+
+Each step works in m x n buffers allocated once per run: one activation
+pass writes sigma(H) and sigma'(H) together, sigma'(H) is scaled in place
+by the residual and by c into the signal P, one GEMM writes P @ K into a
+buffer, and H and the signal sum Pacc are updated in place. The
+arithmetic is the same, in the same order, as building P and P @ K as
+fresh arrays.
 """
 
 from __future__ import annotations
@@ -46,7 +53,6 @@ class TrainingTrace:
     steps: list[int] = field(default_factory=list)
     losses: list[float] = field(default_factory=list)
     eta_min: list[float] = field(default_factory=list)
-    eta_per_point: list[np.ndarray] = field(default_factory=list)
     test_errors: list[float] = field(default_factory=list)
     snapshots: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     probe_snapshots: dict[int, np.ndarray] = field(default_factory=dict)
@@ -105,7 +111,7 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
     y = np.asarray(y, dtype=np.float64)
     params = init if init is not None else init_params(config)
 
-    sigma, dsigma = config.activation.fn, config.activation.deriv
+    sigma, value_and_deriv = config.activation.fn, config.activation.value_and_deriv
     m, D = config.m, config.D
     beta = m ** (-config.scaling.output_exponent)
     alpha = D ** (-config.scaling.hidden_exponent)
@@ -125,6 +131,7 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
         Ktest = (lam * delta * beta * alpha * alpha) * (Phi @ Phi_t.T)
         if test_metric is None:
             test_metric = lambda f, t: float(np.mean((f - t) ** 2))
+        H_t = np.empty_like(H_test0)
 
     has_probe = probe_X is not None
     if has_probe:
@@ -135,6 +142,7 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
     trace = TrainingTrace(c_hat=params.c_hat,
                           interval=config.activation.active_region)
     Pacc = np.zeros_like(H)
+    sig, P, PK = np.empty_like(H), np.empty_like(H), np.empty_like(H)
     prev_loss = None
     snapshot_set = set(train_config.snapshot_steps)
 
@@ -142,11 +150,14 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
         trace.steps.append(step)
         trace.losses.append(lval)
         if train_config.record_eta:
-            per_a, mn = active_fraction(H, config.activation.active_region)
-            trace.eta_per_point.append(per_a)
+            _, mn = active_fraction(H, config.activation.active_region)
             trace.eta_min.append(mn)
         if has_test:
-            H_t = H_test0 if step == 0 else H_test0 - Pacc @ Ktest
+            if step == 0:
+                H_t[...] = H_test0
+            else:
+                np.matmul(Pacc, Ktest, out=H_t)
+                np.subtract(H_test0, H_t, out=H_t)
             f_t = beta * (c @ sigma(H_t))
             trace.test_errors.append(test_metric(f_t, np.asarray(test_y, dtype=np.float64)))
     def snapshot(step: int, f: np.ndarray) -> None:
@@ -156,7 +167,7 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
             trace.probe_snapshots[step] = H_p
 
     for step in range(train_config.steps + 1):
-        sig = sigma(H)
+        value_and_deriv(H, sig, P)
         f = beta * (c @ sig)
         r = f - y
         lval = 0.5 * float(r @ r)
@@ -175,11 +186,17 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
             snapshot(step, f)
         if step == train_config.steps:
             break
-        P = c[:, None] * (dsigma(H) * r[None, :])
-        H -= P @ Kmat
+        P *= r
+        P *= c[:, None]
+        np.matmul(P, Kmat, out=PK)
+        H -= PK
         Pacc += P
 
-    W_final = params.W - (lam * delta * beta * alpha) * (Pacc @ Phi)
+    # W - scale * (Pacc @ Phi) in one (m, D) array: with the step buffers
+    # still live, a second (m, D) temporary would raise the peak memory.
+    W_final = Pacc @ Phi
+    W_final *= lam * delta * beta * alpha
+    np.subtract(params.W, W_final, out=W_final)
     trace.final_params = Parameters(W=W_final, c=c,
                                     embedding_weights=params.embedding_weights,
                                     c_hat=params.c_hat)

@@ -206,6 +206,19 @@ class TestCli:
         rc = cli_main(["gen-data", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    def test_negative_n_exits_2(self, tmp_path, capsys):
+        cfg = self._write(tmp_path / "bad.json", {"dataset": "wei", "n": -3, "d": 5})
+        rc = cli_main(["gen-data", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_malformed_json_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text('{"dataset": "wei", "n": 5,')
+        rc = cli_main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_seed_override(self, tmp_path, capsys):
         cfg = self._write(tmp_path / "gen.json",
                           {"dataset": "random_label", "n": 5, "d": 2, "seed": 1})

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ptwide.activations import LINEAR, RELU, TANH
+from ptwide.activations import LINEAR, RELU, TANH, leaky_relu
 from ptwide.embedding import EmbeddingSpec, EmbeddingWeights, embed_batch
 from ptwide.errors import InvalidConfigError
 from ptwide.model import (MF, NTK, OURS, ModelConfig, Parameters, forward,
@@ -145,13 +145,19 @@ class TestRunTraining:
         assert trace.steps == [0] and len(trace.losses) == 1
         np.testing.assert_array_equal(trace.final_params.W, init_params(cfg).W)
 
-    def test_kernel_path_matches_explicit_path(self):
+    @pytest.mark.parametrize("scaling", [OURS, NTK, MF], ids=lambda s: s.name)
+    @pytest.mark.parametrize("activation", [TANH, RELU, LINEAR, leaky_relu(0.3)],
+                             ids=lambda a: a.name)
+    def test_kernel_path_matches_explicit_path(self, activation, scaling):
         # the H-space recursion must agree with literally recomputing
-        # forward / grad_W / gd_step every step
-        spec = EmbeddingSpec(kind="random_feature", d=3, D=7,
+        # forward / grad_W / gd_step every step; m is even for ntk and
+        # mf needs D = m
+        m = 6
+        spec = EmbeddingSpec(kind="random_feature", d=3,
+                             D=m if scaling is MF else 7,
                              activation=TANH, seed=2)
-        cfg = ModelConfig(embedding=spec, activation=TANH, scaling=OURS,
-                          m=6, seed=5)
+        cfg = ModelConfig(embedding=spec, activation=activation, scaling=scaling,
+                          m=m, seed=5)
         rng = np.random.default_rng(8)
         X, y = rng.standard_normal((4, 3)), rng.standard_normal(4)
         steps, delta = 30, 0.5
@@ -171,6 +177,26 @@ class TestRunTraining:
                                    rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(trace.final_params.W, params.W,
                                    rtol=1e-9, atol=1e-12)
+
+    def test_inputs_and_recorded_arrays_not_aliased(self):
+        # the loop updates H and its step buffers in place; nothing it
+        # recorded or was given may change under it
+        cfg = ModelConfig(embedding=_identity_spec(3), activation=RELU,
+                          scaling=OURS, m=8, seed=7)
+        params = init_params(cfg)
+        W0 = params.W.copy()
+        rng = np.random.default_rng(17)
+        X, y = rng.standard_normal((5, 3)), rng.standard_normal(5)
+        probe_X = rng.standard_normal((4, 3))
+        trace = run_training(cfg, TrainConfig(steps=20, delta=0.5,
+                                              snapshot_steps=(0, 10, 20)),
+                             X, y, init=params, probe_X=probe_X)
+        np.testing.assert_array_equal(trace.snapshots[0][0],
+                                      forward(cfg, params, X).H)
+        np.testing.assert_array_equal(trace.probe_snapshots[0],
+                                      forward(cfg, params, probe_X).H)
+        np.testing.assert_array_equal(params.W, W0)
+        assert not np.array_equal(trace.snapshots[20][0], trace.snapshots[0][0])
 
     def test_smaller_steps_converge_to_flow(self):
         # Euler consistency: halving delta (doubling steps) moves the final
