@@ -146,7 +146,11 @@ _BY_NAME = {"tanh": TANH, "relu": RELU, "linear": LINEAR}
 
 def get_activation(name: str) -> ActivationSpec:
     if name.startswith("leaky_relu(") and name.endswith(")"):
-        return leaky_relu(float(name[len("leaky_relu("):-1]))
+        try:
+            slope = float(name[len("leaky_relu("):-1])
+        except ValueError:
+            raise InvalidConfigError(f"bad leaky_relu slope in {name!r}") from None
+        return leaky_relu(slope)
     try:
         return _BY_NAME[name]
     except KeyError:

@@ -34,14 +34,35 @@ def _load_config(path: str, allowed: set[str]) -> dict:
     return raw
 
 
-def _fmt(v: float) -> str:
-    return "%.17g" % v
+_REQUIRED = object()
+
+
+def _field(raw: dict, key: str, cast, default=_REQUIRED):
+    """``cast(raw[key])``, or ``default`` if absent; a missing required key
+    or a value ``cast`` rejects is an InvalidConfigError (exit 2)."""
+    if key not in raw and default is _REQUIRED:
+        raise InvalidConfigError(f"config is missing required key {key!r}")
+    if key not in raw:
+        return default
+    try:
+        return cast(raw[key])
+    except (TypeError, ValueError):
+        raise InvalidConfigError(f"config key {key!r} has an invalid value "
+                                 f"{raw[key]!r}") from None
+
+
+def _int_list(value) -> list[int]:
+    if not isinstance(value, list):
+        raise TypeError("expected a list")
+    return [int(v) for v in value]
 
 
 def _dataset_from_config(raw: dict, seed_override: int | None):
-    seed = seed_override if seed_override is not None else raw.get("seed", 0)
-    return harness._generate(raw["dataset"], raw["n"], raw["d"], seed,
-                             raw.get("split", "train"), raw.get("teacher_seed", 999))
+    seed = seed_override if seed_override is not None else _field(raw, "seed", int, 0)
+    return harness._generate(_field(raw, "dataset", str), _field(raw, "n", int),
+                             _field(raw, "d", int), seed,
+                             _field(raw, "split", str, "train"),
+                             _field(raw, "teacher_seed", int, 999))
 
 
 def cmd_experiment(args) -> int:
@@ -84,31 +105,31 @@ _GRAM_KEYS = {"dataset", "n", "d", "seed", "split", "teacher_seed",
 def cmd_gram(args) -> int:
     raw = _load_config(args.config, _GRAM_KEYS)
     data = _dataset_from_config(raw, args.seed)
-    activation = get_activation(raw.get("activation", "relu"))
-    kind = raw.get("embedding", "identity")
-    d = raw["d"]
-    if raw.get("mc_samples"):
-        report = gram_limit_mc(activation, data.X, int(raw["mc_samples"]),
-                               raw.get("embedding_seed", 0))
+    activation = get_activation(_field(raw, "activation", str, "relu"))
+    kind = _field(raw, "embedding", str, "identity")
+    d = data.X.shape[1]
+    mc_samples = _field(raw, "mc_samples", int, 0)
+    embedding_seed = _field(raw, "embedding_seed", int, 0)
+    if mc_samples:
+        report = gram_limit_mc(activation, data.X, mc_samples, embedding_seed)
     else:
         if kind == "identity":
             spec = EmbeddingSpec(kind="identity", d=d, D=d)
         elif kind == "quadratic":
             spec = EmbeddingSpec(kind="quadratic", d=d, D=d * d)
         else:
-            spec = EmbeddingSpec(kind=kind, d=d, D=int(raw.get("D", d)),
-                                 depth=int(raw.get("depth", 0)),
-                                 activation=activation,
-                                 seed=int(raw.get("embedding_seed", 0)))
+            spec = EmbeddingSpec(kind=kind, d=d, D=_field(raw, "D", int, d),
+                                 depth=_field(raw, "depth", int, 0),
+                                 activation=activation, seed=embedding_seed)
         report = gram(spec, build_embedding(spec), data.X)
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "gram.json")
     with open(out_path, "w") as fh:
         fh.write(report.to_json(dataset=raw["dataset"], seed=data.seed))
-    print(f"lambda_min: {_fmt(report.lambda_min)}")
-    print(f"lambda_max: {_fmt(report.lambda_max)}")
-    print(f"g_min: {_fmt(report.g_min)}")
-    print(f"g_max: {_fmt(report.g_max)}")
+    print(f"lambda_min: {harness._fmt(report.lambda_min)}")
+    print(f"lambda_max: {harness._fmt(report.lambda_max)}")
+    print(f"g_min: {harness._fmt(report.g_min)}")
+    print(f"g_max: {harness._fmt(report.g_max)}")
     print(f"wrote {out_path}")
     return 0
 
@@ -120,18 +141,18 @@ _CONC_KEYS = {"dataset", "n", "d", "seed", "split", "teacher_seed",
 def cmd_concentration(args) -> int:
     raw = _load_config(args.config, _CONC_KEYS)
     data = _dataset_from_config(raw, args.seed)
-    activation = get_activation(raw.get("activation", "relu"))
-    rows = concentration_probe(activation, data.X, list(raw["D_list"]),
-                               int(raw.get("trials", 5)),
-                               int(raw.get("seed", 0)),
-                               reference_samples=int(raw.get("mc_samples", 1_000_000)))
+    activation = get_activation(_field(raw, "activation", str, "relu"))
+    rows = concentration_probe(activation, data.X, _field(raw, "D_list", _int_list),
+                               _field(raw, "trials", int, 5),
+                               _field(raw, "seed", int, 0),
+                               reference_samples=_field(raw, "mc_samples", int, 1_000_000))
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "concentration.csv")
     with open(out_path, "w") as fh:
         fh.write("D,median_spectral_deviation\n")
         for D, dev in rows:
-            fh.write(f"{D},{_fmt(dev)}\n")
-            print(f"D={D}: {_fmt(dev)}")
+            fh.write(f"{D},{harness._fmt(dev)}\n")
+            print(f"D={D}: {harness._fmt(dev)}")
     print(f"wrote {out_path}")
     return 0
 

@@ -88,9 +88,10 @@ def gram_limit_mc(activation: ActivationSpec, X: np.ndarray, samples: int,
     """Monte-Carlo estimate of the infinite-width Gram limit.
 
     Averages sigma(z.x_a/sqrt(d)) sigma(z.x_b/sqrt(d)) over i.i.d. standard
-    Gaussian z. Accumulates first and second moments in chunks so that very
-    large sample counts stay within memory; a standard-error matrix is
-    attached to the report.
+    Gaussian z. For each chunk of k draws with activations A (k, n), the first
+    and second moments are accumulated by two GEMMs, A^T A and (A*A)^T (A*A),
+    so memory is O(chunk (n + d) + n^2) for any sample count. A
+    standard-error matrix is attached to the report.
     """
     if samples < 1000:
         raise InvalidConfigError("gram_limit_mc requires samples >= 1000")
@@ -103,18 +104,17 @@ def gram_limit_mc(activation: ActivationSpec, X: np.ndarray, samples: int,
     while done < samples:
         k = min(chunk, samples - done)
         Z = gen.standard_normal((k, d))
+        # A is squared in place: fn's argument is a fresh temporary, so even
+        # an activation that returns its input (linear) aliases nothing else.
         A = activation.fn(Z @ X.T / math.sqrt(d))          # (k, n)
-        prods = A[:, :, None] * A[:, None, :]              # (k, n, n)
-        s1 += prods.sum(axis=0)
-        s2 += (prods * prods).sum(axis=0)
+        s1 += A.T @ A
+        A *= A
+        s2 += A.T @ A
         done += k
     mean = s1 / samples
     var = np.maximum(s2 / samples - mean * mean, 0.0)
     stderr = np.sqrt(var / samples)
-    rep = _report_from_gram(mean, "limit_mc", mc_samples=samples)
-    return GramReport(G=rep.G, lambda_min=rep.lambda_min, lambda_max=rep.lambda_max,
-                      g_min=rep.g_min, g_max=rep.g_max, kind="limit_mc",
-                      mc_samples=samples, stderr=stderr)
+    return _report_from_gram(mean, "limit_mc", mc_samples=samples, stderr=stderr)
 
 
 def concentration_probe(activation: ActivationSpec, X: np.ndarray,

@@ -42,11 +42,6 @@ _EXPERIMENT_DEFAULTS = {
     "exp3": ("wei", "random_feature", "relu", 50),
 }
 
-# Full-scale protocol preserved as a named preset; the test suite uses
-# reduced widths and step counts with calibrated thresholds.
-PAPER_PRESET = {"m": 8192, "steps": 50000, "delta": 1.0}
-
-
 @dataclass
 class ExperimentConfig:
     experiment: str

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import ActivationSpec, get_activation
+from .activations import ActivationSpec
 from .embedding import EmbeddingSpec, EmbeddingWeights, build_embedding, embed_batch
 from .errors import InvalidConfigError, NumericError
 from .numkernel import RngStream, gaussian_matrix, rademacher_vector
@@ -200,22 +200,3 @@ def load_params(path) -> tuple[dict, Parameters]:
     layers = tuple(take((D, D)) for _ in range(header["n_deep_layers"]))
     ew = EmbeddingWeights(z=z, deep_layers=layers)
     return header, Parameters(W=W, c=c, embedding_weights=ew, c_hat=header["c_hat"])
-
-
-def config_from_header(header: dict) -> ModelConfig:
-    """Rebuild a ModelConfig from a saved artifact header."""
-    emb = header["embedding"]
-    activation = get_activation(header["activation"])
-    spec = EmbeddingSpec(
-        kind=emb["kind"], d=emb["d"], D=emb["D"], depth=emb["depth"],
-        activation=activation if emb["kind"] in ("random_feature", "deep_random") else None,
-        seed=emb["seed"],
-    )
-    return ModelConfig(
-        embedding=spec,
-        activation=activation,
-        scaling=get_scaling(header["scaling"]),
-        m=header["m"],
-        c_hat=header["c_hat"],
-        seed=header["seed"],
-    )

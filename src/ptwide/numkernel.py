@@ -28,6 +28,10 @@ class RngStream:
     seed: int
     stream: str
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise InvalidConfigError(f"seed must be >= 0, got {self.seed}")
+
     def generator(self) -> np.random.Generator:
         # Fold the stream name into the entropy so streams are isolated.
         tag = int.from_bytes(
@@ -49,11 +53,11 @@ def rademacher_vector(rng: RngStream, length: int, scale: float) -> np.ndarray:
     return scale * signs.astype(np.float64)
 
 
-def sym_eig_extremes(a: np.ndarray, tol: float = 1e-10) -> tuple[float, float]:
+def sym_eig_extremes(a: np.ndarray) -> tuple[float, float]:
     """Extreme eigenvalues (min, max) of a symmetric matrix.
 
     Uses LAPACK's tridiagonalization + implicit-QL solver (numpy eigvalsh)
-    over the full spectrum; accurate well below any reasonable ``tol``.
+    over the full spectrum.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -65,10 +69,3 @@ def sym_eig_extremes(a: np.ndarray, tol: float = 1e-10) -> tuple[float, float]:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericError(f"eigensolver did not converge: {exc}") from exc
     return float(vals[0]), float(vals[-1])
-
-
-def full_spectrum(a: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, ascending (for reports)."""
-    if not np.all(np.abs(a - a.T) <= SYMMETRY_TOL):
-        raise StructuralError("matrix is not symmetric to within 1e-12")
-    return np.linalg.eigvalsh(np.asarray(a, dtype=np.float64))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,12 +113,36 @@ class TestGramLimitMc:
         rep = gram_limit_mc(RELU, X, 2000, seed=9, chunk=500)
         gen = RngStream(9, "gram-mc").generator()
         s1 = np.zeros((3, 3))
+        s2 = np.zeros((3, 3))
         for _ in range(4):
             Z = gen.standard_normal((500, 4))
             A = np.maximum(Z @ X.T / 2.0, 0.0)
-            s1 += (A[:, :, None] * A[:, None, :]).sum(axis=0)
-        np.testing.assert_allclose(rep.G, 0.5 * (s1 / 2000 + (s1 / 2000).T),
-                                   atol=1e-12)
+            prods = A[:, :, None] * A[:, None, :]
+            s1 += prods.sum(axis=0)
+            s2 += (prods * prods).sum(axis=0)
+        mean = s1 / 2000
+        np.testing.assert_allclose(rep.G, 0.5 * (mean + mean.T), atol=1e-12)
+        stderr = np.sqrt(np.maximum(s2 / 2000 - mean * mean, 0.0) / 2000)
+        np.testing.assert_allclose(rep.stderr, stderr, atol=1e-12)
+
+    def test_chunking_does_not_change_the_estimate(self):
+        X = np.random.default_rng(11).standard_normal((5, 4))
+        a = gram_limit_mc(TANH, X, 2000, seed=3, chunk=500)
+        b = gram_limit_mc(TANH, X, 2000, seed=3, chunk=2000)
+        np.testing.assert_allclose(a.G, b.G, atol=1e-12)
+        np.testing.assert_allclose(a.stderr, b.stderr, atol=1e-12)
+
+    def test_peak_memory_has_no_per_sample_gram_tensor(self):
+        # a (chunk, n, n) product tensor alone would be 40 MB here
+        n, chunk = 50, 2000
+        X = np.random.default_rng(12).standard_normal((n, 10))
+        tracemalloc.start()
+        try:
+            gram_limit_mc(RELU, X, 4000, seed=1, chunk=chunk)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * chunk * n * 8
 
 
 class TestConcentrationProbe:

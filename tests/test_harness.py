@@ -219,6 +219,32 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("verb, payload", [
+        ("gram", {"mc_samples": "abc"}),
+        ("concentration", {"D_list": [16, 32], "mc_samples": "x"}),
+        ("concentration", {}),
+        ("gram", {"activation": "leaky_relu(x)"}),
+        ("gram", {"seed": -1}),
+    ], ids=["gram-mc_samples-type", "concentration-mc_samples-type",
+            "concentration-missing-D_list", "gram-leaky-slope", "gram-negative-seed"])
+    def test_bad_gram_and_concentration_config_exits_2(self, tmp_path, capsys,
+                                                       verb, payload):
+        cfg = self._write(tmp_path / "bad.json",
+                          {"dataset": "wei", "n": 10, "d": 3, **payload})
+        rc = cli_main([verb, "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+    def test_gram_mc_at_exp3_size(self, tmp_path, capsys):
+        cfg = self._write(tmp_path / "gram.json",
+                          {"dataset": "wei", "n": 200, "d": 50, "seed": 1,
+                           "mc_samples": 20_000})
+        rc = cli_main(["gram", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 0
+        payload = json.loads((tmp_path / "o" / "gram.json").read_text())
+        assert payload["kind"] == "limit_mc" and payload["n"] == 200
+
     def test_seed_override(self, tmp_path, capsys):
         cfg = self._write(tmp_path / "gen.json",
                           {"dataset": "random_label", "n": 5, "d": 2, "seed": 1})
