@@ -20,6 +20,7 @@ from .activations import get_activation
 from .diagnostics import concentration_probe, gram, gram_limit_mc
 from .embedding import EmbeddingSpec, build_embedding
 from .errors import InvalidConfigError, PtwideError
+from .harness import config_field, list_of
 
 
 def _load_config(path: str, allowed: set[str]) -> dict:
@@ -34,35 +35,14 @@ def _load_config(path: str, allowed: set[str]) -> dict:
     return raw
 
 
-_REQUIRED = object()
-
-
-def _field(raw: dict, key: str, cast, default=_REQUIRED):
-    """``cast(raw[key])``, or ``default`` if absent; a missing required key
-    or a value ``cast`` rejects is an InvalidConfigError (exit 2)."""
-    if key not in raw and default is _REQUIRED:
-        raise InvalidConfigError(f"config is missing required key {key!r}")
-    if key not in raw:
-        return default
-    try:
-        return cast(raw[key])
-    except (TypeError, ValueError):
-        raise InvalidConfigError(f"config key {key!r} has an invalid value "
-                                 f"{raw[key]!r}") from None
-
-
-def _int_list(value) -> list[int]:
-    if not isinstance(value, list):
-        raise TypeError("expected a list")
-    return [int(v) for v in value]
-
-
 def _dataset_from_config(raw: dict, seed_override: int | None):
-    seed = seed_override if seed_override is not None else _field(raw, "seed", int, 0)
-    return harness._generate(_field(raw, "dataset", str), _field(raw, "n", int),
-                             _field(raw, "d", int), seed,
-                             _field(raw, "split", str, "train"),
-                             _field(raw, "teacher_seed", int, 999))
+    seed = (seed_override if seed_override is not None
+            else config_field(raw, "seed", int, 0))
+    return harness._generate(config_field(raw, "dataset", str),
+                             config_field(raw, "n", int),
+                             config_field(raw, "d", int), seed,
+                             config_field(raw, "split", str, "train"),
+                             config_field(raw, "teacher_seed", int, 999))
 
 
 def cmd_experiment(args) -> int:
@@ -105,11 +85,11 @@ _GRAM_KEYS = {"dataset", "n", "d", "seed", "split", "teacher_seed",
 def cmd_gram(args) -> int:
     raw = _load_config(args.config, _GRAM_KEYS)
     data = _dataset_from_config(raw, args.seed)
-    activation = get_activation(_field(raw, "activation", str, "relu"))
-    kind = _field(raw, "embedding", str, "identity")
+    activation = get_activation(config_field(raw, "activation", str, "relu"))
+    kind = config_field(raw, "embedding", str, "identity")
     d = data.X.shape[1]
-    mc_samples = _field(raw, "mc_samples", int, 0)
-    embedding_seed = _field(raw, "embedding_seed", int, 0)
+    mc_samples = config_field(raw, "mc_samples", int, 0)
+    embedding_seed = config_field(raw, "embedding_seed", int, 0)
     if mc_samples:
         report = gram_limit_mc(activation, data.X, mc_samples, embedding_seed)
     else:
@@ -118,8 +98,8 @@ def cmd_gram(args) -> int:
         elif kind == "quadratic":
             spec = EmbeddingSpec(kind="quadratic", d=d, D=d * d)
         else:
-            spec = EmbeddingSpec(kind=kind, d=d, D=_field(raw, "D", int, d),
-                                 depth=_field(raw, "depth", int, 0),
+            spec = EmbeddingSpec(kind=kind, d=d, D=config_field(raw, "D", int, d),
+                                 depth=config_field(raw, "depth", int, 0),
                                  activation=activation, seed=embedding_seed)
         report = gram(spec, build_embedding(spec), data.X)
     os.makedirs(args.out, exist_ok=True)
@@ -141,11 +121,11 @@ _CONC_KEYS = {"dataset", "n", "d", "seed", "split", "teacher_seed",
 def cmd_concentration(args) -> int:
     raw = _load_config(args.config, _CONC_KEYS)
     data = _dataset_from_config(raw, args.seed)
-    activation = get_activation(_field(raw, "activation", str, "relu"))
-    rows = concentration_probe(activation, data.X, _field(raw, "D_list", _int_list),
-                               _field(raw, "trials", int, 5),
-                               _field(raw, "seed", int, 0),
-                               reference_samples=_field(raw, "mc_samples", int, 1_000_000))
+    activation = get_activation(config_field(raw, "activation", str, "relu"))
+    rows = concentration_probe(
+        activation, data.X, config_field(raw, "D_list", list_of(int)),
+        config_field(raw, "trials", int, 5), data.seed,
+        reference_samples=config_field(raw, "mc_samples", int, 1_000_000))
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "concentration.csv")
     with open(out_path, "w") as fh:

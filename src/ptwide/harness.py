@@ -12,7 +12,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -28,12 +28,6 @@ SUMMARY_COLUMNS = ["experiment", "scaling", "n", "m", "seed", "final_loss",
                    "test_error", "rate_slope", "rate_r2", "lemma1_pass", "pl_pass"]
 
 RATE_FLOOR = 1e-8
-
-_ALLOWED_KEYS = {
-    "experiment", "dataset", "n_list", "d", "m", "D", "depth", "seeds",
-    "scalings", "activation", "embedding", "c_hat", "steps", "delta",
-    "record_every", "snapshot_steps", "n_test", "teacher_seed", "output_dir",
-}
 
 _EXPERIMENT_DEFAULTS = {
     # (dataset, embedding, activation, d)
@@ -65,34 +59,69 @@ class ExperimentConfig:
     output_dir: str = "runs"
 
 
+_ALLOWED_KEYS = {f.name for f in fields(ExperimentConfig)}
+
+_REQUIRED = object()
+
+
+def config_field(raw: dict, key: str, cast, default=_REQUIRED):
+    """``cast(raw[key])``, or ``default`` if absent; a missing required key
+    or a value ``cast`` rejects is an InvalidConfigError (exit 2)."""
+    if key not in raw and default is _REQUIRED:
+        raise InvalidConfigError(f"config is missing required key {key!r}")
+    if key not in raw:
+        return default
+    try:
+        return cast(raw[key])
+    except (TypeError, ValueError):
+        raise InvalidConfigError(f"config key {key!r} has an invalid value "
+                                 f"{raw[key]!r}") from None
+
+
+def list_of(cast):
+    """A cast for a JSON list whose every item goes through ``cast``."""
+    def convert(value) -> list:
+        if not isinstance(value, list):
+            raise TypeError("expected a list")
+        return [cast(v) for v in value]
+    return convert
+
+
+def _optional(cast):
+    return lambda value: None if value is None else cast(value)
+
+
 def parse_experiment_config(raw: dict) -> ExperimentConfig:
     """Validate a JSON config document; unknown keys are rejected."""
     unknown = set(raw) - _ALLOWED_KEYS
     if unknown:
         raise InvalidConfigError(f"unknown config keys: {sorted(unknown)}")
-    experiment = raw.get("experiment", "custom")
+    experiment = config_field(raw, "experiment", str, "custom")
     if experiment not in ("exp1", "exp2", "exp3", "diag_sweep", "custom"):
         raise InvalidConfigError(f"unknown experiment {experiment!r}")
-    defaults = _EXPERIMENT_DEFAULTS.get(experiment)
-    dataset = raw.get("dataset", defaults[0] if defaults else None)
-    embedding = raw.get("embedding", defaults[1] if defaults else "identity")
-    activation = raw.get("activation", defaults[2] if defaults else "tanh")
-    d = raw.get("d", defaults[3] if defaults else None)
+    defaults = _EXPERIMENT_DEFAULTS.get(experiment, (None, "identity", "tanh", None))
+    dataset = config_field(raw, "dataset", str, defaults[0])
+    d = config_field(raw, "d", int, defaults[3])
     if dataset is None or d is None:
         raise InvalidConfigError("custom experiments must specify dataset and d")
     cfg = ExperimentConfig(
         experiment=experiment, dataset=dataset,
-        n_list=list(raw.get("n_list", [])), d=int(d), m=int(raw.get("m", 1024)),
-        seeds=list(raw.get("seeds", [])), scalings=list(raw.get("scalings", ["ours"])),
-        activation=activation, embedding=embedding,
-        D=raw.get("D"), depth=int(raw.get("depth", 0)),
-        c_hat=float(raw.get("c_hat", 1.0)),
-        steps=int(raw.get("steps", 1000)), delta=float(raw.get("delta", 1.0)),
-        record_every=int(raw.get("record_every", 10)),
-        snapshot_steps=raw.get("snapshot_steps"),
-        n_test=int(raw.get("n_test", 500)),
-        teacher_seed=int(raw.get("teacher_seed", 999)),
-        output_dir=raw.get("output_dir", "runs"),
+        n_list=config_field(raw, "n_list", list_of(int), []), d=d,
+        m=config_field(raw, "m", int, 1024),
+        seeds=config_field(raw, "seeds", list_of(int), []),
+        scalings=config_field(raw, "scalings", list_of(str), ["ours"]),
+        activation=config_field(raw, "activation", str, defaults[2]),
+        embedding=config_field(raw, "embedding", str, defaults[1]),
+        D=config_field(raw, "D", _optional(int), None),
+        depth=config_field(raw, "depth", int, 0),
+        c_hat=config_field(raw, "c_hat", float, 1.0),
+        steps=config_field(raw, "steps", int, 1000),
+        delta=config_field(raw, "delta", float, 1.0),
+        record_every=config_field(raw, "record_every", int, 10),
+        snapshot_steps=config_field(raw, "snapshot_steps", _optional(list_of(int)), None),
+        n_test=config_field(raw, "n_test", int, 500),
+        teacher_seed=config_field(raw, "teacher_seed", int, 999),
+        output_dir=config_field(raw, "output_dir", str, "runs"),
     )
     if not cfg.n_list:
         raise InvalidConfigError("n_list must be non-empty")
@@ -285,7 +314,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
                 if result.trace.snapshots:
                     snapshots_to_npz(result.trace, os.path.join(out_dir, f"snaps_{tag}.npz"))
                 _write_probe_scatter(result.trace, os.path.join(out_dir, f"features_{tag}.csv"))
-                curves.setdefault((scaling_name, n), []).append(result.trace)
+                # The mean curves need only these fields. A finished cell's
+                # whole trace (snapshots, final W) is dropped before the next
+                # cell runs, unless keep_traces holds it.
+                t = result.trace
+                curves.setdefault((scaling_name, n), []).append(TrainingTrace(
+                    steps=t.steps, losses=t.losses, test_errors=t.test_errors,
+                    diverged=t.diverged))
+                del result, t
 
     write_summary(artifact.summary, os.path.join(out_dir, "summary.csv"))
     for (scaling_name, n), traces in curves.items():

@@ -7,17 +7,32 @@ bases, and a cross-check against the explicit forward/grad/step path is
 part of the test suite. W itself is reconstructed at the end from the
 accumulated per-neuron signals.
 
-Each step works in m x n buffers allocated once per run: one activation
-pass writes sigma(H) and sigma'(H) together, sigma'(H) is scaled in place
-by the residual and by c into the signal P, one GEMM writes P @ K into a
-buffer, and H and the signal sum Pacc are updated in place. The
-arithmetic is the same, in the same order, as building P and P @ K as
-fresh arrays.
+Each step works in m x n buffers allocated once per run: sigma'(H) is
+scaled in place by the residual and by c into the signal P, one GEMM
+writes P @ K into a buffer, H and the signal sum Pacc are updated in
+place, and one activation pass writes the next step's sigma(H) and
+sigma'(H) together. The arithmetic is the same, in the same order, as
+building P and P @ K as fresh arrays.
+
+A neuron's row of H changes only through the residual r, so the rows
+split into independent blocks within a step. When the step product is
+large (m n^2 >= 2**23, so a fork/join costs under a tenth of it), the
+update runs on two row blocks split at m // 2, the second on a helper
+thread; smaller steps run on one block. Everything that mixes rows stays
+whole on the calling thread: f = beta c @ sigma(H), the loss and its
+checks, the active fractions, snapshots, and the test evaluation, whose
+(m, n) @ (n, n_test) product changes in the last bit when split by rows
+with OpenBLAS (the split step product (m/2, n) @ (n, n) matched the whole
+one bit for bit). The helper is used only when the process may run on
+two CPUs; otherwise the same two blocks run one after the other on the
+caller, so results do not depend on the CPU count.
 """
 
 from __future__ import annotations
 
+import contextvars
 import csv
+import os
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -29,6 +44,10 @@ from .errors import InvalidConfigError, NumericError
 from .model import ForwardState, ModelConfig, Parameters, init_params
 
 DIVERGENCE_THRESHOLD = 1e12
+# Smallest m n^2 (the multiply-adds of one step's P @ K) that runs on two row
+# blocks: about 0.4 ms of GEMM at one BLAS thread, against a fork/join of a
+# few tens of microseconds.
+TWO_BLOCK_MIN_MN2 = 2 ** 23
 
 
 @dataclass(frozen=True)
@@ -129,6 +148,7 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
         Phi_t = embed_batch(config.embedding, params.embedding_weights, test_X)
         H_test0 = alpha * (params.W @ Phi_t.T)
         Ktest = (lam * delta * beta * alpha * alpha) * (Phi @ Phi_t.T)
+        del Phi_t
         if test_metric is None:
             test_metric = lambda f, t: float(np.mean((f - t) ** 2))
         H_t = np.empty_like(H_test0)
@@ -145,6 +165,21 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
     sig, P, PK = np.empty_like(H), np.empty_like(H), np.empty_like(H)
     prev_loss = None
     snapshot_set = set(train_config.snapshot_steps)
+
+    n = H.shape[1]
+    bounds = (0, m // 2, m) if m * n * n >= TWO_BLOCK_MIN_MN2 else (0, m)
+    blocks = [(H[lo:hi], sig[lo:hi], P[lo:hi], PK[lo:hi], Pacc[lo:hi], c[lo:hi, None])
+              for lo, hi in zip(bounds, bounds[1:])]
+
+    def advance(block, r: np.ndarray) -> None:
+        """This step's update of one row block, then its next sigma, sigma'."""
+        H_b, sig_b, P_b, PK_b, Pacc_b, c_b = block
+        P_b *= r
+        P_b *= c_b
+        np.matmul(P_b, Kmat, out=PK_b)
+        H_b -= PK_b
+        Pacc_b += P_b
+        value_and_deriv(H_b, sig_b, P_b)
 
     def record(step: int, f: np.ndarray, lval: float) -> None:
         trace.steps.append(step)
@@ -166,31 +201,62 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
             H_p = H_probe0 if step == 0 else H_probe0 - Pacc @ Kprobe
             trace.probe_snapshots[step] = H_p
 
-    for step in range(train_config.steps + 1):
+    helper = None
+    if len(blocks) == 2 and len(os.sched_getaffinity(0)) >= 2:
+        import queue
+        import threading
+        todo, done = queue.SimpleQueue(), queue.SimpleQueue()
+        # The helper runs in the caller's context, so np.errstate applies
+        # to both blocks alike.
+        context = contextvars.copy_context()
+
+        def serve() -> None:
+            while (r := todo.get()) is not None:
+                try:
+                    context.run(advance, blocks[1], r)
+                except BaseException as exc:   # re-raised by the caller
+                    done.put(exc)
+                else:
+                    done.put(None)
+
+        helper = threading.Thread(target=serve, name="ptwide-row-block")
+        helper.start()
+    try:
         value_and_deriv(H, sig, P)
-        f = beta * (c @ sig)
-        r = f - y
-        lval = 0.5 * float(r @ r)
-        if not np.isfinite(lval) or lval > DIVERGENCE_THRESHOLD:
-            trace.diverged = True
-            break
-        if step == 0:
-            _, trace.eta_tilde0 = active_fraction(
-                H, shrink_interval(config.activation.active_region))
-        if prev_loss is not None and lval > prev_loss:
-            trace.monotone_violations.append(step)
-        prev_loss = lval
-        if step % train_config.record_every == 0 or step == train_config.steps:
-            record(step, f, lval)
-        if step in snapshot_set:
-            snapshot(step, f)
-        if step == train_config.steps:
-            break
-        P *= r
-        P *= c[:, None]
-        np.matmul(P, Kmat, out=PK)
-        H -= PK
-        Pacc += P
+        for step in range(train_config.steps + 1):
+            f = beta * (c @ sig)
+            r = f - y
+            lval = 0.5 * float(r @ r)
+            if not np.isfinite(lval) or lval > DIVERGENCE_THRESHOLD:
+                trace.diverged = True
+                break
+            if step == 0:
+                _, trace.eta_tilde0 = active_fraction(
+                    H, shrink_interval(config.activation.active_region))
+            if prev_loss is not None and lval > prev_loss:
+                trace.monotone_violations.append(step)
+            prev_loss = lval
+            if step % train_config.record_every == 0 or step == train_config.steps:
+                record(step, f, lval)
+            if step in snapshot_set:
+                snapshot(step, f)
+            if step == train_config.steps:
+                break
+            if helper is None:
+                for block in blocks:
+                    advance(block, r)
+            else:
+                todo.put(r)
+                advance(blocks[0], r)
+                failure = done.get()
+                if failure is not None:
+                    raise failure
+    finally:
+        if helper is not None:
+            # After a break or an exception too: the helper ends its block
+            # and returns, so it never outlives the call.
+            todo.put(None)
+            helper.join()
 
     # W - scale * (Pacc @ Phi) in one (m, D) array: with the step buffers
     # still live, a second (m, D) temporary would raise the peak memory.

@@ -129,6 +129,11 @@ def small_cfg():
 
 
 class TestRunExperiment:
+    def test_written_config_parses_back(self, small_cfg, tmp_path):
+        run_experiment(small_cfg, out_dir=str(tmp_path))
+        written = json.loads((tmp_path / "config.json").read_text())
+        assert parse_experiment_config(written) == small_cfg
+
     def test_summary_shape_and_artifacts(self, small_cfg, tmp_path):
         out = tmp_path / "runs"
         artifact = run_experiment(small_cfg, out_dir=str(out))
@@ -235,6 +240,34 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("verb", ["experiment", "train"])
+    @pytest.mark.parametrize("payload", [
+        {"m": "x"}, {"seeds": 1}, {"delta": "fast"}, {"snapshot_steps": ["a"]},
+    ], ids=["m-type", "seeds-not-list", "delta-type", "snapshot-steps-type"])
+    def test_bad_experiment_config_exits_2(self, tmp_path, capsys, verb, payload):
+        cfg = self._write(tmp_path / "bad.json",
+                          {"experiment": "exp1", "d": 6, "n_list": [4], "m": 8,
+                           "seeds": [1], "steps": 5, **payload})
+        rc = cli_main([verb, "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+    def test_concentration_seed_override(self, tmp_path, capsys):
+        # --seed sets the probe's seed too, not only the dataset's
+        outs = []
+        for seed in (1, 2):
+            cfg = self._write(tmp_path / f"conc{seed}.json",
+                              {"dataset": "random_label", "n": 6, "d": 4,
+                               "seed": seed, "D_list": [64, 256], "trials": 3,
+                               "mc_samples": 2000})
+            out = tmp_path / f"o{seed}"
+            rc = cli_main(["concentration", "--config", cfg, "--out", str(out),
+                           "--seed", "1"])
+            assert rc == 0
+            outs.append((out / "concentration.csv").read_text())
+        assert outs[0] == outs[1]
 
     def test_gram_mc_at_exp3_size(self, tmp_path, capsys):
         cfg = self._write(tmp_path / "gram.json",

@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -8,8 +11,8 @@ from ptwide.embedding import EmbeddingSpec, EmbeddingWeights, embed_batch
 from ptwide.errors import InvalidConfigError
 from ptwide.model import (MF, NTK, OURS, ModelConfig, Parameters, forward,
                           init_params)
-from ptwide.train import (TrainConfig, gd_step, grad_W, loss, run_training,
-                          trace_to_csv)
+from ptwide.train import (TWO_BLOCK_MIN_MN2, TrainConfig, gd_step, grad_W, loss,
+                          run_training, trace_to_csv)
 
 
 def _identity_spec(d):
@@ -30,6 +33,44 @@ def _kahan_half_sum_squares(r):
         comp = (t - total) - term
         total = t
     return 0.5 * total
+
+
+def _check_kernel_path_against_explicit(activation, scaling, m, n, D, delta):
+    # the H-space recursion must agree with literally recomputing
+    # forward / grad_W / gd_step every step
+    spec = EmbeddingSpec(kind="random_feature", d=3, D=D, activation=TANH, seed=2)
+    cfg = ModelConfig(embedding=spec, activation=activation, scaling=scaling,
+                      m=m, seed=5)
+    rng = np.random.default_rng(8)
+    X, y = rng.standard_normal((n, 3)), rng.standard_normal(n)
+    steps = 30
+
+    trace = run_training(cfg, TrainConfig(steps=steps, delta=delta,
+                                          record_eta=False), X, y)
+    assert not trace.diverged
+
+    params = init_params(cfg)
+    explicit_losses = []
+    for _ in range(steps):
+        state = forward(cfg, params, X, y)
+        explicit_losses.append(0.5 * float(state.residual @ state.residual))
+        params = gd_step(cfg, params, grad_W(cfg, params, X, y, state), delta)
+    explicit_losses.append(loss(forward(cfg, params, X).f, y))
+
+    np.testing.assert_allclose(trace.losses, explicit_losses,
+                               rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(trace.final_params.W, params.W,
+                               rtol=1e-9, atol=1e-12)
+
+
+def _two_block_problem(activation):
+    """A model and data just above the two-block size, m n^2 >= 2**23."""
+    m, n = 1024, 96
+    cfg = ModelConfig(embedding=EmbeddingSpec(kind="random_feature", d=3, D=16,
+                                              activation=TANH, seed=3),
+                      activation=activation, scaling=OURS, m=m, seed=4)
+    rng = np.random.default_rng(21)
+    return cfg, rng.standard_normal((n, 3)), rng.standard_normal(n)
 
 
 class TestLoss:
@@ -149,34 +190,71 @@ class TestRunTraining:
     @pytest.mark.parametrize("activation", [TANH, RELU, LINEAR, leaky_relu(0.3)],
                              ids=lambda a: a.name)
     def test_kernel_path_matches_explicit_path(self, activation, scaling):
-        # the H-space recursion must agree with literally recomputing
-        # forward / grad_W / gd_step every step; m is even for ntk and
-        # mf needs D = m
-        m = 6
-        spec = EmbeddingSpec(kind="random_feature", d=3,
-                             D=m if scaling is MF else 7,
-                             activation=TANH, seed=2)
-        cfg = ModelConfig(embedding=spec, activation=activation, scaling=scaling,
-                          m=m, seed=5)
-        rng = np.random.default_rng(8)
-        X, y = rng.standard_normal((4, 3)), rng.standard_normal(4)
-        steps, delta = 30, 0.5
+        # m is even for ntk and mf needs D = m
+        _check_kernel_path_against_explicit(activation, scaling, m=6, n=4,
+                                            D=6 if scaling is MF else 7, delta=0.5)
 
-        trace = run_training(cfg, TrainConfig(steps=steps, delta=delta,
-                                              record_eta=False), X, y)
+    @pytest.mark.parametrize("activation, scaling", [(TANH, OURS), (RELU, MF)],
+                             ids=["tanh-ours", "relu-mf"])
+    def test_two_block_kernel_path_matches_explicit_path(self, activation, scaling):
+        m, n = 1024, 96
+        assert m * n * n >= TWO_BLOCK_MIN_MN2
+        _check_kernel_path_against_explicit(activation, scaling, m=m, n=n,
+                                            D=m if scaling is MF else 7, delta=0.01)
 
-        params = init_params(cfg)
-        explicit_losses = []
-        for _ in range(steps):
-            state = forward(cfg, params, X, y)
-            explicit_losses.append(0.5 * float(state.residual @ state.residual))
-            params = gd_step(cfg, params, grad_W(cfg, params, X, y, state), delta)
-        explicit_losses.append(loss(forward(cfg, params, X).f, y))
+    def test_two_blocks_same_with_and_without_helper(self, monkeypatch):
+        # the two row blocks give the same bits whether the second runs on
+        # a helper thread or after the first on the caller, and both blocks
+        # see the caller's np.errstate
+        cfg, X, y = _two_block_problem(TANH)
+        threads, underflow_modes = set(), set()
 
-        np.testing.assert_allclose(trace.losses, explicit_losses,
-                                   rtol=1e-9, atol=1e-12)
-        np.testing.assert_allclose(trace.final_params.W, params.W,
-                                   rtol=1e-9, atol=1e-12)
+        def spy(H, value_out, deriv_out):
+            threads.add(threading.get_ident())
+            underflow_modes.add(np.geterr()["under"])
+            TANH.value_and_deriv(H, value_out, deriv_out)
+
+        cfg = dataclasses.replace(cfg, activation=dataclasses.replace(
+            TANH, value_and_deriv=spy))
+        tc = TrainConfig(steps=40, delta=0.01, snapshot_steps=(0, 20, 40))
+        traces = []
+        for cpus in ({0, 1}, {0}):
+            threads.clear()
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+            with np.errstate(under="warn"):
+                traces.append(run_training(cfg, tc, X, y, test_X=X[:50], test_y=y[:50]))
+            assert len(threads) == len(cpus)
+            assert underflow_modes == {"warn"}
+        helper, alone = traces
+        assert not helper.diverged and helper.losses[-1] < helper.losses[0]
+        assert np.array_equal(helper.losses, alone.losses)
+        assert np.array_equal(helper.test_errors, alone.test_errors)
+        assert np.array_equal(helper.eta_min, alone.eta_min)
+        for step in tc.snapshot_steps:
+            assert np.array_equal(helper.snapshots[step][0], alone.snapshots[step][0])
+        assert np.array_equal(helper.final_params.W, alone.final_params.W)
+
+    def test_helper_thread_does_not_outlive_the_run(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        before = threading.active_count()
+        cfg, X, y = _two_block_problem(LINEAR)
+        trace = run_training(cfg, TrainConfig(steps=5, delta=0.01), X, y)
+        assert not trace.diverged
+        assert threading.active_count() == before
+        trace = run_training(cfg, TrainConfig(steps=500, delta=50.0), X, y)
+        assert trace.diverged
+        assert threading.active_count() == before
+
+        def fails_off_the_caller(H, value_out, deriv_out):
+            if threading.current_thread() is not threading.main_thread():
+                raise FloatingPointError("helper block failed")
+            LINEAR.value_and_deriv(H, value_out, deriv_out)
+
+        cfg = dataclasses.replace(cfg, activation=dataclasses.replace(
+            LINEAR, value_and_deriv=fails_off_the_caller))
+        with pytest.raises(FloatingPointError, match="helper block failed"):
+            run_training(cfg, TrainConfig(steps=5, delta=0.01), X, y)
+        assert threading.active_count() == before
 
     def test_inputs_and_recorded_arrays_not_aliased(self):
         # the loop updates H and its step buffers in place; nothing it
