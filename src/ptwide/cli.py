@@ -20,7 +20,7 @@ from .activations import get_activation
 from .diagnostics import concentration_probe, gram, gram_limit_mc
 from .embedding import EmbeddingSpec, build_embedding
 from .errors import InvalidConfigError, PtwideError
-from .harness import config_field, list_of
+from .harness import config_field, integer, list_of
 
 
 def _load_config(path: str, allowed: set[str]) -> dict:
@@ -37,12 +37,12 @@ def _load_config(path: str, allowed: set[str]) -> dict:
 
 def _dataset_from_config(raw: dict, seed_override: int | None):
     seed = (seed_override if seed_override is not None
-            else config_field(raw, "seed", int, 0))
+            else config_field(raw, "seed", integer, 0))
     return harness._generate(config_field(raw, "dataset", str),
-                             config_field(raw, "n", int),
-                             config_field(raw, "d", int), seed,
+                             config_field(raw, "n", integer),
+                             config_field(raw, "d", integer), seed,
                              config_field(raw, "split", str, "train"),
-                             config_field(raw, "teacher_seed", int, 999))
+                             config_field(raw, "teacher_seed", integer, 999))
 
 
 def cmd_experiment(args) -> int:
@@ -88,8 +88,8 @@ def cmd_gram(args) -> int:
     activation = get_activation(config_field(raw, "activation", str, "relu"))
     kind = config_field(raw, "embedding", str, "identity")
     d = data.X.shape[1]
-    mc_samples = config_field(raw, "mc_samples", int, 0)
-    embedding_seed = config_field(raw, "embedding_seed", int, 0)
+    mc_samples = config_field(raw, "mc_samples", integer, 0)
+    embedding_seed = config_field(raw, "embedding_seed", integer, 0)
     if mc_samples:
         report = gram_limit_mc(activation, data.X, mc_samples, embedding_seed)
     else:
@@ -98,8 +98,8 @@ def cmd_gram(args) -> int:
         elif kind == "quadratic":
             spec = EmbeddingSpec(kind="quadratic", d=d, D=d * d)
         else:
-            spec = EmbeddingSpec(kind=kind, d=d, D=config_field(raw, "D", int, d),
-                                 depth=config_field(raw, "depth", int, 0),
+            spec = EmbeddingSpec(kind=kind, d=d, D=config_field(raw, "D", integer, d),
+                                 depth=config_field(raw, "depth", integer, 0),
                                  activation=activation, seed=embedding_seed)
         report = gram(spec, build_embedding(spec), data.X)
     os.makedirs(args.out, exist_ok=True)
@@ -123,9 +123,9 @@ def cmd_concentration(args) -> int:
     data = _dataset_from_config(raw, args.seed)
     activation = get_activation(config_field(raw, "activation", str, "relu"))
     rows = concentration_probe(
-        activation, data.X, config_field(raw, "D_list", list_of(int)),
-        config_field(raw, "trials", int, 5), data.seed,
-        reference_samples=config_field(raw, "mc_samples", int, 1_000_000))
+        activation, data.X, config_field(raw, "D_list", list_of(integer)),
+        config_field(raw, "trials", integer, 5), data.seed,
+        reference_samples=config_field(raw, "mc_samples", integer, 1_000_000))
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "concentration.csv")
     with open(out_path, "w") as fh:

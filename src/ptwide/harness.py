@@ -78,6 +78,14 @@ def config_field(raw: dict, key: str, cast, default=_REQUIRED):
                                  f"{raw[key]!r}") from None
 
 
+def integer(value) -> int:
+    """The cast for an integer config value: ``int``, but a boolean or a
+    number with a fractional part is rejected, not truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def list_of(cast):
     """A cast for a JSON list whose every item goes through ``cast``."""
     def convert(value) -> list:
@@ -101,26 +109,26 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
         raise InvalidConfigError(f"unknown experiment {experiment!r}")
     defaults = _EXPERIMENT_DEFAULTS.get(experiment, (None, "identity", "tanh", None))
     dataset = config_field(raw, "dataset", str, defaults[0])
-    d = config_field(raw, "d", int, defaults[3])
+    d = config_field(raw, "d", integer, defaults[3])
     if dataset is None or d is None:
         raise InvalidConfigError("custom experiments must specify dataset and d")
     cfg = ExperimentConfig(
         experiment=experiment, dataset=dataset,
-        n_list=config_field(raw, "n_list", list_of(int), []), d=d,
-        m=config_field(raw, "m", int, 1024),
-        seeds=config_field(raw, "seeds", list_of(int), []),
+        n_list=config_field(raw, "n_list", list_of(integer), []), d=d,
+        m=config_field(raw, "m", integer, 1024),
+        seeds=config_field(raw, "seeds", list_of(integer), []),
         scalings=config_field(raw, "scalings", list_of(str), ["ours"]),
         activation=config_field(raw, "activation", str, defaults[2]),
         embedding=config_field(raw, "embedding", str, defaults[1]),
-        D=config_field(raw, "D", _optional(int), None),
-        depth=config_field(raw, "depth", int, 0),
+        D=config_field(raw, "D", _optional(integer), None),
+        depth=config_field(raw, "depth", integer, 0),
         c_hat=config_field(raw, "c_hat", float, 1.0),
-        steps=config_field(raw, "steps", int, 1000),
+        steps=config_field(raw, "steps", integer, 1000),
         delta=config_field(raw, "delta", float, 1.0),
-        record_every=config_field(raw, "record_every", int, 10),
-        snapshot_steps=config_field(raw, "snapshot_steps", _optional(list_of(int)), None),
-        n_test=config_field(raw, "n_test", int, 500),
-        teacher_seed=config_field(raw, "teacher_seed", int, 999),
+        record_every=config_field(raw, "record_every", integer, 10),
+        snapshot_steps=config_field(raw, "snapshot_steps", _optional(list_of(integer)), None),
+        n_test=config_field(raw, "n_test", integer, 500),
+        teacher_seed=config_field(raw, "teacher_seed", integer, 999),
         output_dir=config_field(raw, "output_dir", str, "runs"),
     )
     if not cfg.n_list:

@@ -18,20 +18,30 @@ A neuron's row of H changes only through the residual r, so the rows
 split into independent blocks within a step. When the step product is
 large (m n^2 >= 2**23, so a fork/join costs under a tenth of it), the
 update runs on two row blocks split at m // 2, the second on a helper
-thread; smaller steps run on one block. Everything that mixes rows stays
-whole on the calling thread: f = beta c @ sigma(H), the loss and its
-checks, the active fractions, snapshots, and the test evaluation, whose
-(m, n) @ (n, n_test) product changes in the last bit when split by rows
-with OpenBLAS (the split step product (m/2, n) @ (n, n) matched the whole
-one bit for bit). The helper is used only when the process may run on
-two CPUs; otherwise the same two blocks run one after the other on the
-caller, so results do not depend on the CPU count.
+thread; smaller steps run on one block. The record-step test evaluation
+splits by columns instead: each test point's H_t column and output f_t
+depend on its own column of Ktest alone, and under OpenBLAS a product
+split by rows changed in the last bit while one split by columns at a
+multiple of 8 (and not much past the middle) matched the whole product
+bit for bit. So when m n n_test >= 2**23, the columns of H_t and Ktest
+split at 8 (n_test // 16) and the second block runs on the helper; both
+blocks end before the step's update touches Pacc. Everything else that
+mixes rows or columns stays whole on the calling thread: f = beta c @
+sigma(H), the loss and its checks, the test metric, the active
+fractions and snapshots.
+
+The helper is used only when the process may run on two CPUs and BLAS
+runs one thread (when the BLAS thread count cannot be read, the CPUs
+alone decide); a multi-threaded BLAS would already ask for both CPUs in
+each block's GEMM. Otherwise the same blocks run one after the other on
+the caller, so results do not depend on the CPU or BLAS thread count.
 """
 
 from __future__ import annotations
 
 import contextvars
 import csv
+import functools
 import os
 from dataclasses import dataclass, field
 from typing import Callable
@@ -46,8 +56,24 @@ from .model import ForwardState, ModelConfig, Parameters, init_params
 DIVERGENCE_THRESHOLD = 1e12
 # Smallest m n^2 (the multiply-adds of one step's P @ K) that runs on two row
 # blocks: about 0.4 ms of GEMM at one BLAS thread, against a fork/join of a
-# few tens of microseconds.
+# few tens of microseconds. The test evaluation's m n n_test uses it too.
 TWO_BLOCK_MIN_MN2 = 2 ** 23
+
+
+@functools.cache
+def _blas_threads() -> int | None:
+    """Threads numpy's bundled OpenBLAS runs, or None if it does not say."""
+    import ctypes
+    import glob
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                  "numpy.libs", "libscipy_openblas*.so"))
+    if not libs:
+        return None
+    get = getattr(ctypes.CDLL(libs[0]), "scipy_openblas_get_num_threads64_", None)
+    if get is None:
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    return get()
 
 
 @dataclass(frozen=True)
@@ -142,8 +168,10 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
     # Kernel of the H-space recursion: H <- H - P (lam d beta a^2 Phi Phi^T)
     Kmat = (lam * delta * beta * alpha * alpha) * (Phi @ Phi.T)
     c = params.c
+    n = H.shape[1]
 
     has_test = test_X is not None
+    test_blocks = []
     if has_test:
         Phi_t = embed_batch(config.embedding, params.embedding_weights, test_X)
         H_test0 = alpha * (params.W @ Phi_t.T)
@@ -151,7 +179,15 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
         del Phi_t
         if test_metric is None:
             test_metric = lambda f, t: float(np.mean((f - t) ** 2))
+        test_y = np.asarray(test_y, dtype=np.float64)
         H_t = np.empty_like(H_test0)
+        n_test = H_t.shape[1]
+        f_t = np.empty(n_test)
+        split = 8 * (n_test // 16)     # a multiple of 8 at or below the middle
+        cols = ((0, split, n_test) if split and m * n * n_test >= TWO_BLOCK_MIN_MN2
+                else (0, n_test))
+        test_blocks = [(H_t[:, lo:hi], H_test0[:, lo:hi], Ktest[:, lo:hi], f_t[lo:hi])
+                       for lo, hi in zip(cols, cols[1:])]
 
     has_probe = probe_X is not None
     if has_probe:
@@ -166,7 +202,6 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
     prev_loss = None
     snapshot_set = set(train_config.snapshot_steps)
 
-    n = H.shape[1]
     bounds = (0, m // 2, m) if m * n * n >= TWO_BLOCK_MIN_MN2 else (0, m)
     blocks = [(H[lo:hi], sig[lo:hi], P[lo:hi], PK[lo:hi], Pacc[lo:hi], c[lo:hi, None])
               for lo, hi in zip(bounds, bounds[1:])]
@@ -181,6 +216,16 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
         Pacc_b += P_b
         value_and_deriv(H_b, sig_b, P_b)
 
+    def evaluate(block, step: int) -> None:
+        """One column block of the test set's H_t and outputs f_t."""
+        H_t_b, H_test0_b, Ktest_b, f_t_b = block
+        if step == 0:
+            H_t_b[...] = H_test0_b
+        else:
+            np.matmul(Pacc, Ktest_b, out=H_t_b)
+            np.subtract(H_test0_b, H_t_b, out=H_t_b)
+        f_t_b[...] = beta * (c @ sigma(H_t_b))
+
     def record(step: int, f: np.ndarray, lval: float) -> None:
         trace.steps.append(step)
         trace.losses.append(lval)
@@ -188,13 +233,9 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
             _, mn = active_fraction(H, config.activation.active_region)
             trace.eta_min.append(mn)
         if has_test:
-            if step == 0:
-                H_t[...] = H_test0
-            else:
-                np.matmul(Pacc, Ktest, out=H_t)
-                np.subtract(H_test0, H_t, out=H_t)
-            f_t = beta * (c @ sigma(H_t))
-            trace.test_errors.append(test_metric(f_t, np.asarray(test_y, dtype=np.float64)))
+            in_blocks(evaluate, test_blocks, step)
+            trace.test_errors.append(test_metric(f_t, test_y))
+
     def snapshot(step: int, f: np.ndarray) -> None:
         trace.snapshots[step] = (H.copy(), f.copy())
         if has_probe:
@@ -202,7 +243,8 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
             trace.probe_snapshots[step] = H_p
 
     helper = None
-    if len(blocks) == 2 and len(os.sched_getaffinity(0)) >= 2:
+    if (max(len(blocks), len(test_blocks)) == 2 and len(os.sched_getaffinity(0)) >= 2
+            and _blas_threads() in (None, 1)):
         import queue
         import threading
         todo, done = queue.SimpleQueue(), queue.SimpleQueue()
@@ -211,16 +253,30 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
         context = contextvars.copy_context()
 
         def serve() -> None:
-            while (r := todo.get()) is not None:
+            while (job := todo.get()) is not None:
                 try:
-                    context.run(advance, blocks[1], r)
+                    context.run(*job)
                 except BaseException as exc:   # re-raised by the caller
                     done.put(exc)
                 else:
                     done.put(None)
 
-        helper = threading.Thread(target=serve, name="ptwide-row-block")
+        helper = threading.Thread(target=serve, name="ptwide-block")
         helper.start()
+
+    def in_blocks(fn, fn_blocks, arg) -> None:
+        """fn(block, arg) for each block: with the helper and two blocks, the
+        second runs there while the caller runs the first (one fork/join)."""
+        if helper is None or len(fn_blocks) == 1:
+            for block in fn_blocks:
+                fn(block, arg)
+            return
+        todo.put((fn, fn_blocks[1], arg))
+        fn(fn_blocks[0], arg)
+        failure = done.get()
+        if failure is not None:
+            raise failure
+
     try:
         value_and_deriv(H, sig, P)
         for step in range(train_config.steps + 1):
@@ -242,15 +298,7 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
                 snapshot(step, f)
             if step == train_config.steps:
                 break
-            if helper is None:
-                for block in blocks:
-                    advance(block, r)
-            else:
-                todo.put(r)
-                advance(blocks[0], r)
-                failure = done.get()
-                if failure is not None:
-                    raise failure
+            in_blocks(advance, blocks, r)
     finally:
         if helper is not None:
             # After a break or an exception too: the helper ends its block
@@ -281,9 +329,13 @@ def trace_to_csv(trace: TrainingTrace, path) -> None:
 
 
 def snapshots_to_npz(trace: TrainingTrace, path) -> None:
-    """Sidecar binary with the recorded (H, f) feature snapshots."""
+    """Sidecar binary with the recorded (H, f) feature snapshots.
+
+    Stored uncompressed: zlib shrinks float64 snapshots by only ~4% and
+    made writing them about 40 times slower.
+    """
     arrays = {}
     for step, (H, f) in trace.snapshots.items():
         arrays[f"H_{step}"] = H
         arrays[f"f_{step}"] = f
-    np.savez_compressed(path, **arrays)
+    np.savez(path, **arrays)

@@ -94,6 +94,11 @@ class TestConfigParsing:
         with pytest.raises(InvalidConfigError):
             parse_experiment_config(self._base(learning_rate=0.1))
 
+    def test_integral_floats_read_as_integers(self):
+        cfg = parse_experiment_config(self._base(m=16.0, n_list=[10.0], steps=1e1))
+        assert (cfg.m, cfg.n_list, cfg.steps) == (16, [10], 10)
+        assert all(type(v) is int for v in (cfg.m, cfg.n_list[0], cfg.steps))
+
     def test_empty_seeds_rejected(self):
         with pytest.raises(InvalidConfigError):
             parse_experiment_config(self._base(seeds=[]))
@@ -230,8 +235,11 @@ class TestCli:
         ("concentration", {}),
         ("gram", {"activation": "leaky_relu(x)"}),
         ("gram", {"seed": -1}),
+        ("gen-data", {"n": 10.5}),
+        ("gram", {"mc_samples": True}),
     ], ids=["gram-mc_samples-type", "concentration-mc_samples-type",
-            "concentration-missing-D_list", "gram-leaky-slope", "gram-negative-seed"])
+            "concentration-missing-D_list", "gram-leaky-slope", "gram-negative-seed",
+            "gen-data-fractional-n", "gram-bool-mc_samples"])
     def test_bad_gram_and_concentration_config_exits_2(self, tmp_path, capsys,
                                                        verb, payload):
         cfg = self._write(tmp_path / "bad.json",
@@ -244,7 +252,9 @@ class TestCli:
     @pytest.mark.parametrize("verb", ["experiment", "train"])
     @pytest.mark.parametrize("payload", [
         {"m": "x"}, {"seeds": 1}, {"delta": "fast"}, {"snapshot_steps": ["a"]},
-    ], ids=["m-type", "seeds-not-list", "delta-type", "snapshot-steps-type"])
+        {"n_list": [4.9]}, {"m": 8.7}, {"seeds": [True]}, {"steps": 5.5},
+    ], ids=["m-type", "seeds-not-list", "delta-type", "snapshot-steps-type",
+            "n_list-fractional", "m-fractional", "seeds-bool", "steps-fractional"])
     def test_bad_experiment_config_exits_2(self, tmp_path, capsys, verb, payload):
         cfg = self._write(tmp_path / "bad.json",
                           {"experiment": "exp1", "d": 6, "n_list": [4], "m": 8,

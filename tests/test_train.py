@@ -11,6 +11,7 @@ from ptwide.embedding import EmbeddingSpec, EmbeddingWeights, embed_batch
 from ptwide.errors import InvalidConfigError
 from ptwide.model import (MF, NTK, OURS, ModelConfig, Parameters, forward,
                           init_params)
+import ptwide.train as train_module
 from ptwide.train import (TWO_BLOCK_MIN_MN2, TrainConfig, gd_step, grad_W, loss,
                           run_training, trace_to_csv)
 
@@ -202,59 +203,123 @@ class TestRunTraining:
         _check_kernel_path_against_explicit(activation, scaling, m=m, n=n,
                                             D=m if scaling is MF else 7, delta=0.01)
 
-    def test_two_blocks_same_with_and_without_helper(self, monkeypatch):
-        # the two row blocks give the same bits whether the second runs on
-        # a helper thread or after the first on the caller, and both blocks
-        # see the caller's np.errstate
+    def _run_spied(self, monkeypatch, cpus, blas_threads):
+        """A two-block run with a test set whose evaluation splits too, with
+        the CPUs and the BLAS thread count patched; returns the trace, the
+        threads that ran the step blocks and the test blocks, and the most
+        threads alive during the run."""
         cfg, X, y = _two_block_problem(TANH)
-        threads, underflow_modes = set(), set()
+        test_X = np.random.default_rng(22).standard_normal((100, 3))
+        assert cfg.m * len(X) * len(test_X) >= TWO_BLOCK_MIN_MN2
+        step_threads, test_threads, underflow_modes, alive = set(), set(), set(), set()
 
-        def spy(H, value_out, deriv_out):
-            threads.add(threading.get_ident())
+        def spy_step(H, value_out, deriv_out):
+            step_threads.add(threading.get_ident())
+            alive.add(threading.active_count())
             underflow_modes.add(np.geterr()["under"])
             TANH.value_and_deriv(H, value_out, deriv_out)
 
+        def spy_test(H):
+            test_threads.add(threading.get_ident())
+            underflow_modes.add(np.geterr()["under"])
+            return TANH.fn(H)
+
         cfg = dataclasses.replace(cfg, activation=dataclasses.replace(
-            TANH, value_and_deriv=spy))
-        tc = TrainConfig(steps=40, delta=0.01, snapshot_steps=(0, 20, 40))
-        traces = []
-        for cpus in ({0, 1}, {0}):
-            threads.clear()
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-            with np.errstate(under="warn"):
-                traces.append(run_training(cfg, tc, X, y, test_X=X[:50], test_y=y[:50]))
-            assert len(threads) == len(cpus)
-            assert underflow_modes == {"warn"}
-        helper, alone = traces
+            TANH, value_and_deriv=spy_step, fn=spy_test))
+        tc = TrainConfig(steps=40, delta=0.01, record_every=10,
+                         snapshot_steps=(0, 20, 40))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        monkeypatch.setattr(train_module, "_blas_threads", lambda: blas_threads)
+        with np.errstate(under="warn"):
+            trace = run_training(cfg, tc, X, y, test_X=test_X, test_y=np.sin(test_X[:, 0]))
+        assert underflow_modes == {"warn"}
+        return trace, step_threads, test_threads, max(alive)
+
+    def _assert_same_arrays(self, a, b):
+        assert np.array_equal(a.losses, b.losses)
+        assert np.array_equal(a.test_errors, b.test_errors)
+        assert np.array_equal(a.eta_min, b.eta_min)
+        assert a.snapshots.keys() == b.snapshots.keys()
+        for step in a.snapshots:
+            assert np.array_equal(a.snapshots[step][0], b.snapshots[step][0])
+        assert np.array_equal(a.final_params.W, b.final_params.W)
+
+    def test_two_blocks_same_with_and_without_helper(self, monkeypatch):
+        # the row blocks of a step and the column blocks of the test
+        # evaluation give the same bits whether the second block runs on a
+        # helper thread or after the first on the caller, and both blocks
+        # see the caller's np.errstate
+        helper, step_threads, test_threads, _ = self._run_spied(monkeypatch, {0, 1}, 1)
+        assert len(step_threads) == 2 and len(test_threads) == 2
+        alone, step_threads, test_threads, _ = self._run_spied(monkeypatch, {0}, 1)
+        assert len(step_threads) == 1 and len(test_threads) == 1
         assert not helper.diverged and helper.losses[-1] < helper.losses[0]
-        assert np.array_equal(helper.losses, alone.losses)
-        assert np.array_equal(helper.test_errors, alone.test_errors)
-        assert np.array_equal(helper.eta_min, alone.eta_min)
-        for step in tc.snapshot_steps:
-            assert np.array_equal(helper.snapshots[step][0], alone.snapshots[step][0])
-        assert np.array_equal(helper.final_params.W, alone.final_params.W)
+        assert len(helper.test_errors) == len(helper.steps) == 5
+        self._assert_same_arrays(helper, alone)
+
+    @pytest.mark.parametrize("blas_threads, uses_helper", [(2, False), (None, True)],
+                             ids=["blas-2-threads", "blas-unknown"])
+    def test_helper_needs_single_threaded_blas(self, monkeypatch, blas_threads,
+                                               uses_helper):
+        # a BLAS that runs two threads already uses both CPUs, so no helper
+        # starts; when the count cannot be read, the CPUs alone decide
+        before = threading.active_count()
+        trace, step_threads, test_threads, alive = self._run_spied(
+            monkeypatch, {0, 1}, blas_threads)
+        assert len(step_threads) == len(test_threads) == (2 if uses_helper else 1)
+        assert alive == before + uses_helper
+        alone, *_ = self._run_spied(monkeypatch, {0}, 1)
+        self._assert_same_arrays(trace, alone)
+
+    def test_blas_thread_probe(self):
+        threads = train_module._blas_threads()
+        assert threads is None or threads >= 1
+
+    def test_column_blocks_match_explicit_test_error(self):
+        # the split test evaluation is the MSE of an explicit forward pass on
+        # the test set, at step 0 and with the final weights
+        cfg, X, y = _two_block_problem(RELU)
+        rng = np.random.default_rng(23)
+        test_X, test_y = rng.standard_normal((100, 3)), rng.standard_normal(100)
+        steps = 20
+        trace = run_training(cfg, TrainConfig(steps=steps, delta=0.01, record_every=steps),
+                             X, y, test_X=test_X, test_y=test_y)
+        assert trace.steps == [0, steps]
+        for params, error in ((init_params(cfg), trace.test_errors[0]),
+                              (trace.final_params, trace.test_errors[-1])):
+            f = forward(cfg, params, test_X).f
+            assert error == pytest.approx(np.mean((f - test_y) ** 2), rel=1e-9)
 
     def test_helper_thread_does_not_outlive_the_run(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(train_module, "_blas_threads", lambda: 1)
         before = threading.active_count()
         cfg, X, y = _two_block_problem(LINEAR)
+        test_X = X[:90]
+        assert cfg.m * len(X) * len(test_X) >= TWO_BLOCK_MIN_MN2
         trace = run_training(cfg, TrainConfig(steps=5, delta=0.01), X, y)
         assert not trace.diverged
+        assert threading.active_count() == before
+        trace = run_training(cfg, TrainConfig(steps=5, delta=0.01), X, y,
+                             test_X=test_X, test_y=y[:90])
+        assert not trace.diverged and len(trace.test_errors) == 6
         assert threading.active_count() == before
         trace = run_training(cfg, TrainConfig(steps=500, delta=50.0), X, y)
         assert trace.diverged
         assert threading.active_count() == before
 
-        def fails_off_the_caller(H, value_out, deriv_out):
+        def fails_off_the_caller(H, *out):
             if threading.current_thread() is not threading.main_thread():
                 raise FloatingPointError("helper block failed")
-            LINEAR.value_and_deriv(H, value_out, deriv_out)
+            return LINEAR.value_and_deriv(H, *out) if out else LINEAR.fn(H)
 
-        cfg = dataclasses.replace(cfg, activation=dataclasses.replace(
-            LINEAR, value_and_deriv=fails_off_the_caller))
-        with pytest.raises(FloatingPointError, match="helper block failed"):
-            run_training(cfg, TrainConfig(steps=5, delta=0.01), X, y)
-        assert threading.active_count() == before
+        for field_name, test_set in (("value_and_deriv", None), ("fn", test_X)):
+            failing = dataclasses.replace(cfg, activation=dataclasses.replace(
+                LINEAR, **{field_name: fails_off_the_caller}))
+            with pytest.raises(FloatingPointError, match="helper block failed"):
+                run_training(failing, TrainConfig(steps=5, delta=0.01), X, y,
+                             test_X=test_set, test_y=None if test_set is None else y[:90])
+            assert threading.active_count() == before
 
     def test_inputs_and_recorded_arrays_not_aliased(self):
         # the loop updates H and its step buffers in place; nothing it
