@@ -5,9 +5,11 @@ below by ``k_deriv``. Half-infinite regions (relu, linear) are replaced
 by a finite surrogate, which is what the active-fraction diagnostics use;
 the surrogate is recorded in every report.
 
-``value_and_deriv(H, value_out, deriv_out)`` writes sigma(H) and sigma'(H)
-into two caller-owned arrays of H's shape from one evaluation; it is what
-the GD loop calls every step. It gives exactly ``fn(H)`` and ``deriv(H)``,
+``fn(u, out=None)`` returns sigma(u) as a fresh array, or writes it into
+``out`` (which may be ``u`` itself) and returns ``out``; both give the same
+bits. ``value_and_deriv(H, value_out, deriv_out)`` writes sigma(H) and
+sigma'(H) into two caller-owned arrays of H's shape from one evaluation; it
+is what the GD loop calls every step. It gives exactly ``fn(H)`` and ``deriv(H)``,
 bit for bit. The output arrays must not alias H or each other.
 """
 
@@ -24,7 +26,7 @@ from .errors import InvalidConfigError
 @dataclass(frozen=True)
 class ActivationSpec:
     name: str
-    fn: Callable[[np.ndarray], np.ndarray]
+    fn: Callable[..., np.ndarray]              # fn(u, out=None)
     deriv: Callable[[np.ndarray], np.ndarray]
     value_and_deriv: Callable[[np.ndarray, np.ndarray, np.ndarray], None]
     lipschitz: float
@@ -37,8 +39,8 @@ class ActivationSpec:
             raise InvalidConfigError(f"active region must satisfy I_l < I_r, got {self.active_region}")
 
 
-def _relu(u):
-    return np.maximum(u, 0.0)
+def _relu(u, out=None):
+    return np.maximum(u, 0.0, out=out)
 
 
 def _relu_deriv(u):
@@ -62,8 +64,8 @@ def _tanh_value_and_deriv(H, value_out, deriv_out):
     np.subtract(1.0, deriv_out, out=deriv_out)
 
 
-def _linear(u):
-    return np.asarray(u, dtype=np.float64) + 0.0
+def _linear(u, out=None):
+    return np.add(np.asarray(u, dtype=np.float64), 0.0, out=out)
 
 
 def _ones_like(u):
@@ -111,9 +113,15 @@ def leaky_relu(slope: float) -> ActivationSpec:
     if not 0 < slope <= 1:
         raise InvalidConfigError(f"leaky_relu slope must be in (0, 1], got {slope}")
 
-    def fn(u):
+    def fn(u, out=None):
         u = np.asarray(u, dtype=np.float64)
-        return np.where(u > 0, u, slope * u)
+        if out is None:
+            return np.where(u > 0, u, slope * u)
+        # The mask is taken before out is written, since out may be u.
+        scaled = ~(u > 0)
+        np.multiply(u, slope, out=out, where=scaled)
+        np.copyto(out, u, where=~scaled)
+        return out
 
     def deriv(u):
         u = np.asarray(u, dtype=np.float64)

@@ -16,6 +16,7 @@ import numpy as np
 from .activations import ActivationSpec
 from .embedding import EmbeddingSpec, EmbeddingWeights, build_embedding, embed_batch
 from .errors import InvalidConfigError, StructuralError
+from .helper import Helper
 from .model import ModelConfig, Parameters, forward
 from .numkernel import RngStream, sym_eig_extremes
 
@@ -89,9 +90,15 @@ def gram_limit_mc(activation: ActivationSpec, X: np.ndarray, samples: int,
 
     Averages sigma(z.x_a/sqrt(d)) sigma(z.x_b/sqrt(d)) over i.i.d. standard
     Gaussian z. For each chunk of k draws with activations A (k, n), the first
-    and second moments are accumulated by two GEMMs, A^T A and (A*A)^T (A*A),
-    so memory is O(chunk (n + d) + n^2) for any sample count. A
-    standard-error matrix is attached to the report.
+    and second moments are accumulated by two GEMMs, A^T A and (A*A)^T (A*A).
+    A standard-error matrix is attached to the report.
+
+    The draws go into two (chunk, d) buffers in turn and A into one (chunk,
+    n) buffer, so memory is O(chunk (2d + n) + n^2) for any sample count.
+    While the helper thread (``ptwide.helper``) accumulates one chunk, the
+    caller draws the next into the other buffer; without a helper the
+    chunks are accumulated on the caller. The draws, the chunks and the
+    order of the sums are the same either way, and so are the bits.
     """
     if samples < 1000:
         raise InvalidConfigError("gram_limit_mc requires samples >= 1000")
@@ -100,17 +107,30 @@ def gram_limit_mc(activation: ActivationSpec, X: np.ndarray, samples: int,
     gen = RngStream(seed, "gram-mc").generator()
     s1 = np.zeros((n, n))
     s2 = np.zeros((n, n))
-    done = 0
-    while done < samples:
-        k = min(chunk, samples - done)
-        Z = gen.standard_normal((k, d))
-        # A is squared in place: fn's argument is a fresh temporary, so even
-        # an activation that returns its input (linear) aliases nothing else.
-        A = activation.fn(Z @ X.T / math.sqrt(d))          # (k, n)
+    rows = min(chunk, samples)
+    draws = (np.empty((rows, d)), np.empty((rows, d)))
+    projected = np.empty((rows, n))
+    scale = math.sqrt(d)
+
+    def accumulate(Z: np.ndarray) -> None:
+        nonlocal s1, s2
+        A = projected[:len(Z)]
+        np.matmul(Z, X.T, out=A)
+        A /= scale
+        A = activation.fn(A, out=A)                         # (k, n)
         s1 += A.T @ A
         A *= A
         s2 += A.T @ A
-        done += k
+
+    with Helper() as helper:
+        for i, start in enumerate(range(0, samples, chunk)):
+            Z = draws[i % 2][:min(chunk, samples - start)]
+            # The job on chunk i - 2, the last to read this buffer, was
+            # waited for before chunk i - 1 was submitted.
+            gen.standard_normal(out=Z)
+            helper.wait()
+            helper.submit(accumulate, Z)
+        helper.wait()
     mean = s1 / samples
     var = np.maximum(s2 / samples - mean * mean, 0.0)
     stderr = np.sqrt(var / samples)

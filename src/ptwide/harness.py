@@ -86,6 +86,17 @@ def integer(value) -> int:
     return int(value)
 
 
+def real(value) -> float:
+    """The cast for a real config value: ``float``, but a boolean or a
+    non-finite number (NaN, inf) is rejected."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return value
+
+
 def list_of(cast):
     """A cast for a JSON list whose every item goes through ``cast``."""
     def convert(value) -> list:
@@ -122,9 +133,9 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
         embedding=config_field(raw, "embedding", str, defaults[1]),
         D=config_field(raw, "D", _optional(integer), None),
         depth=config_field(raw, "depth", integer, 0),
-        c_hat=config_field(raw, "c_hat", float, 1.0),
+        c_hat=config_field(raw, "c_hat", real, 1.0),
         steps=config_field(raw, "steps", integer, 1000),
-        delta=config_field(raw, "delta", float, 1.0),
+        delta=config_field(raw, "delta", real, 1.0),
         record_every=config_field(raw, "record_every", integer, 10),
         snapshot_steps=config_field(raw, "snapshot_steps", _optional(list_of(integer)), None),
         n_test=config_field(raw, "n_test", integer, 500),

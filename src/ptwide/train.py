@@ -30,19 +30,18 @@ mixes rows or columns stays whole on the calling thread: f = beta c @
 sigma(H), the loss and its checks, the test metric, the active
 fractions and snapshots.
 
-The helper is used only when the process may run on two CPUs and BLAS
-runs one thread (when the BLAS thread count cannot be read, the CPUs
-alone decide); a multi-threaded BLAS would already ask for both CPUs in
-each block's GEMM. Otherwise the same blocks run one after the other on
-the caller, so results do not depend on the CPU or BLAS thread count.
+The second block of each split goes to the helper of ``ptwide.helper``,
+whose thread starts only when some split exists, the process may run on
+two CPUs and BLAS runs one thread. Without the thread the second block runs
+on the caller, just before the first; the blocks share no output, so
+results do not depend on the CPU or BLAS thread count. The test blocks
+apply sigma in place, in H_t, so a record step allocates no (m, n_test)
+temporary.
 """
 
 from __future__ import annotations
 
-import contextvars
 import csv
-import functools
-import os
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -51,6 +50,7 @@ import numpy as np
 from .diagnostics import active_fraction, shrink_interval
 from .embedding import embed_batch
 from .errors import InvalidConfigError, NumericError
+from .helper import Helper
 from .model import ForwardState, ModelConfig, Parameters, init_params
 
 DIVERGENCE_THRESHOLD = 1e12
@@ -58,22 +58,6 @@ DIVERGENCE_THRESHOLD = 1e12
 # blocks: about 0.4 ms of GEMM at one BLAS thread, against a fork/join of a
 # few tens of microseconds. The test evaluation's m n n_test uses it too.
 TWO_BLOCK_MIN_MN2 = 2 ** 23
-
-
-@functools.cache
-def _blas_threads() -> int | None:
-    """Threads numpy's bundled OpenBLAS runs, or None if it does not say."""
-    import ctypes
-    import glob
-    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
-                                  "numpy.libs", "libscipy_openblas*.so"))
-    if not libs:
-        return None
-    get = getattr(ctypes.CDLL(libs[0]), "scipy_openblas_get_num_threads64_", None)
-    if get is None:
-        return None
-    get.argtypes, get.restype = [], ctypes.c_int
-    return get()
 
 
 @dataclass(frozen=True)
@@ -102,7 +86,6 @@ class TrainingTrace:
     snapshots: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     probe_snapshots: dict[int, np.ndarray] = field(default_factory=dict)
     eta_tilde0: float = float("nan")
-    interval: tuple[float, float] = (float("nan"), float("nan"))
     c_hat: float = float("nan")
     monotone_violations: list[int] = field(default_factory=list)
     diverged: bool = False
@@ -154,6 +137,14 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
+    has_test = test_X is not None
+    if has_test:
+        if test_y is None:
+            raise InvalidConfigError("test_X is given without test_y")
+        test_y = np.asarray(test_y, dtype=np.float64)
+        if test_y.shape != (len(test_X),):
+            raise InvalidConfigError(f"test_y has shape {test_y.shape}, "
+                                     f"expected ({len(test_X)},)")
     params = init if init is not None else init_params(config)
 
     sigma, value_and_deriv = config.activation.fn, config.activation.value_and_deriv
@@ -170,7 +161,6 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
     c = params.c
     n = H.shape[1]
 
-    has_test = test_X is not None
     test_blocks = []
     if has_test:
         Phi_t = embed_batch(config.embedding, params.embedding_weights, test_X)
@@ -179,7 +169,6 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
         del Phi_t
         if test_metric is None:
             test_metric = lambda f, t: float(np.mean((f - t) ** 2))
-        test_y = np.asarray(test_y, dtype=np.float64)
         H_t = np.empty_like(H_test0)
         n_test = H_t.shape[1]
         f_t = np.empty(n_test)
@@ -195,8 +184,7 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
         H_probe0 = alpha * (params.W @ Phi_p.T)
         Kprobe = (lam * delta * beta * alpha * alpha) * (Phi @ Phi_p.T)
 
-    trace = TrainingTrace(c_hat=params.c_hat,
-                          interval=config.activation.active_region)
+    trace = TrainingTrace(c_hat=params.c_hat)
     Pacc = np.zeros_like(H)
     sig, P, PK = np.empty_like(H), np.empty_like(H), np.empty_like(H)
     prev_loss = None
@@ -224,7 +212,7 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
         else:
             np.matmul(Pacc, Ktest_b, out=H_t_b)
             np.subtract(H_test0_b, H_t_b, out=H_t_b)
-        f_t_b[...] = beta * (c @ sigma(H_t_b))
+        f_t_b[...] = beta * (c @ sigma(H_t_b, out=H_t_b))
 
     def record(step: int, f: np.ndarray, lval: float) -> None:
         trace.steps.append(step)
@@ -242,42 +230,15 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
             H_p = H_probe0 if step == 0 else H_probe0 - Pacc @ Kprobe
             trace.probe_snapshots[step] = H_p
 
-    helper = None
-    if (max(len(blocks), len(test_blocks)) == 2 and len(os.sched_getaffinity(0)) >= 2
-            and _blas_threads() in (None, 1)):
-        import queue
-        import threading
-        todo, done = queue.SimpleQueue(), queue.SimpleQueue()
-        # The helper runs in the caller's context, so np.errstate applies
-        # to both blocks alike.
-        context = contextvars.copy_context()
-
-        def serve() -> None:
-            while (job := todo.get()) is not None:
-                try:
-                    context.run(*job)
-                except BaseException as exc:   # re-raised by the caller
-                    done.put(exc)
-                else:
-                    done.put(None)
-
-        helper = threading.Thread(target=serve, name="ptwide-block")
-        helper.start()
-
     def in_blocks(fn, fn_blocks, arg) -> None:
-        """fn(block, arg) for each block: with the helper and two blocks, the
-        second runs there while the caller runs the first (one fork/join)."""
-        if helper is None or len(fn_blocks) == 1:
-            for block in fn_blocks:
-                fn(block, arg)
-            return
-        todo.put((fn, fn_blocks[1], arg))
+        """fn(block, arg) for each block: with two blocks, the second goes to
+        the helper while the caller runs the first (one fork/join)."""
+        if len(fn_blocks) == 2:
+            helper.submit(fn, fn_blocks[1], arg)
         fn(fn_blocks[0], arg)
-        failure = done.get()
-        if failure is not None:
-            raise failure
+        helper.wait()
 
-    try:
+    with Helper(max(len(blocks), len(test_blocks)) == 2) as helper:
         value_and_deriv(H, sig, P)
         for step in range(train_config.steps + 1):
             f = beta * (c @ sig)
@@ -299,12 +260,6 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
             if step == train_config.steps:
                 break
             in_blocks(advance, blocks, r)
-    finally:
-        if helper is not None:
-            # After a break or an exception too: the helper ends its block
-            # and returns, so it never outlives the call.
-            todo.put(None)
-            helper.join()
 
     # W - scale * (Pacc @ Phi) in one (m, D) array: with the step buffers
     # still live, a second (m, D) temporary would raise the peak memory.

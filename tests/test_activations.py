@@ -18,3 +18,26 @@ def test_value_and_deriv_equals_fn_and_deriv(activation):
     np.testing.assert_array_equal(value, activation.fn(H))
     np.testing.assert_array_equal(deriv, activation.deriv(H))
     np.testing.assert_array_equal(np.signbit(value), np.signbit(activation.fn(H)))
+
+
+
+@pytest.mark.parametrize("activation", [TANH, RELU, LINEAR, leaky_relu(0.3),
+                                        leaky_relu(1.0)],
+                         ids=lambda a: a.name)
+@pytest.mark.parametrize("into", ["u", "buf"])
+def test_fn_out_equals_fn(activation, into):
+    # signed zeros, subnormals and NaNs of both signs, in a strided view
+    # like the test evaluation's column blocks
+    rng = np.random.default_rng(5)
+    H = np.concatenate([rng.standard_normal(40) * 3,
+                        [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, np.nan, -np.nan]])
+    H = np.tile(H.reshape(6, 8), 2)[:, 3:11]
+    before = H.copy()
+    fresh = activation.fn(H)
+    assert not np.shares_memory(fresh, H)
+    out = H if into == "u" else np.full_like(H, 7.0)
+    assert activation.fn(H, out=out) is out
+    np.testing.assert_array_equal(out, fresh)
+    np.testing.assert_array_equal(np.signbit(out), np.signbit(fresh))
+    if into == "buf":
+        np.testing.assert_array_equal(H, before)

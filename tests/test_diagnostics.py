@@ -1,10 +1,15 @@
+import dataclasses
 import math
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from ptwide.activations import LINEAR, RELU, TANH
+import ptwide.helper as helper_module
+from ptwide.activations import LINEAR, RELU, TANH, leaky_relu
 from ptwide.diagnostics import (ABS_SLACK, GramReport, active_fraction,
                                 concentration_probe, feature_movement, gram,
                                 gram_limit_mc, lemma1_monitor, pl_monitor,
@@ -143,6 +148,71 @@ class TestGramLimitMc:
         finally:
             tracemalloc.stop()
         assert peak < 16 * chunk * n * 8
+
+    @staticmethod
+    def _patch_machine(monkeypatch, cpus, blas_threads):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        monkeypatch.setattr(helper_module, "_blas_threads", lambda: blas_threads)
+
+    @pytest.mark.parametrize("activation", [RELU, TANH, LINEAR, leaky_relu(0.3)],
+                             ids=lambda a: a.name)
+    @pytest.mark.parametrize("samples, chunk", [(2300, 1000), (1500, 2000)],
+                             ids=["ragged-chunks", "one-chunk"])
+    def test_same_bits_with_and_without_helper(self, monkeypatch, activation,
+                                               samples, chunk):
+        # the helper accumulates chunk i while the caller draws chunk i + 1;
+        # the sums are the same, in the same order, as on one thread
+        X = np.random.default_rng(13).standard_normal((6, 4))
+        threads = set()
+
+        def spy(u, out=None):
+            threads.add(threading.get_ident())
+            return activation.fn(u, out=out)
+
+        spied = dataclasses.replace(activation, fn=spy)
+        self._patch_machine(monkeypatch, {0, 1}, 1)
+        piped = gram_limit_mc(spied, X, samples, seed=4, chunk=chunk)
+        assert len(threads) == 1 and threading.get_ident() not in threads
+        threads.clear()
+        self._patch_machine(monkeypatch, {0}, 2)
+        alone = gram_limit_mc(spied, X, samples, seed=4, chunk=chunk)
+        assert threads == {threading.get_ident()}
+        np.testing.assert_array_equal(piped.G, alone.G)
+        np.testing.assert_array_equal(piped.stderr, alone.stderr)
+
+    def test_many_chunks_under_fast_thread_switching(self, monkeypatch):
+        # a draw that overwrote a buffer the helper still reads, or a chunk
+        # left out of the sums, would change the bits
+        X = np.random.default_rng(15).standard_normal((8, 5))
+        self._patch_machine(monkeypatch, {0}, 1)
+        alone = gram_limit_mc(TANH, X, 150_500, seed=6, chunk=1000)
+        self._patch_machine(monkeypatch, {0, 1}, 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            piped = gram_limit_mc(TANH, X, 150_500, seed=6, chunk=1000)
+        finally:
+            sys.setswitchinterval(interval)
+        np.testing.assert_array_equal(piped.G, alone.G)
+        np.testing.assert_array_equal(piped.stderr, alone.stderr)
+
+    def test_helper_does_not_outlive_the_call(self, monkeypatch):
+        self._patch_machine(monkeypatch, {0, 1}, 1)
+        before = threading.active_count()
+        X = np.random.default_rng(14).standard_normal((3, 4))
+        gram_limit_mc(TANH, X, 3000, seed=1, chunk=1000)
+        assert threading.active_count() == before
+
+        def fails_off_the_caller(u, out=None):
+            if threading.current_thread() is not threading.main_thread():
+                raise FloatingPointError("helper chunk failed")
+            return TANH.fn(u, out=out)
+
+        failing = dataclasses.replace(TANH, fn=fails_off_the_caller)
+        for samples, chunk in ((3000, 1000), (1500, 2000)):
+            with pytest.raises(FloatingPointError, match="helper chunk failed"):
+                gram_limit_mc(failing, X, samples, seed=1, chunk=chunk)
+            assert threading.active_count() == before
 
 
 class TestConcentrationProbe:

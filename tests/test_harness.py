@@ -99,6 +99,11 @@ class TestConfigParsing:
         assert (cfg.m, cfg.n_list, cfg.steps) == (16, [10], 10)
         assert all(type(v) is int for v in (cfg.m, cfg.n_list[0], cfg.steps))
 
+    def test_real_keys_read_as_floats(self):
+        cfg = parse_experiment_config(self._base(delta=1, c_hat="0.5"))
+        assert (cfg.delta, cfg.c_hat) == (1.0, 0.5)
+        assert type(cfg.delta) is float and type(cfg.c_hat) is float
+
     def test_empty_seeds_rejected(self):
         with pytest.raises(InvalidConfigError):
             parse_experiment_config(self._base(seeds=[]))
@@ -253,8 +258,11 @@ class TestCli:
     @pytest.mark.parametrize("payload", [
         {"m": "x"}, {"seeds": 1}, {"delta": "fast"}, {"snapshot_steps": ["a"]},
         {"n_list": [4.9]}, {"m": 8.7}, {"seeds": [True]}, {"steps": 5.5},
+        {"delta": True}, {"c_hat": False}, {"delta": float("nan")},
+        {"c_hat": float("inf")}, {"delta": "-inf"},
     ], ids=["m-type", "seeds-not-list", "delta-type", "snapshot-steps-type",
-            "n_list-fractional", "m-fractional", "seeds-bool", "steps-fractional"])
+            "n_list-fractional", "m-fractional", "seeds-bool", "steps-fractional",
+            "delta-bool", "c_hat-bool", "delta-nan", "c_hat-inf", "delta-minus-inf-string"])
     def test_bad_experiment_config_exits_2(self, tmp_path, capsys, verb, payload):
         cfg = self._write(tmp_path / "bad.json",
                           {"experiment": "exp1", "d": 6, "n_list": [4], "m": 8,

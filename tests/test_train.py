@@ -11,7 +11,7 @@ from ptwide.embedding import EmbeddingSpec, EmbeddingWeights, embed_batch
 from ptwide.errors import InvalidConfigError
 from ptwide.model import (MF, NTK, OURS, ModelConfig, Parameters, forward,
                           init_params)
-import ptwide.train as train_module
+import ptwide.helper as helper_module
 from ptwide.train import (TWO_BLOCK_MIN_MN2, TrainConfig, gd_step, grad_W, loss,
                           run_training, trace_to_csv)
 
@@ -219,17 +219,17 @@ class TestRunTraining:
             underflow_modes.add(np.geterr()["under"])
             TANH.value_and_deriv(H, value_out, deriv_out)
 
-        def spy_test(H):
+        def spy_test(H, out=None):
             test_threads.add(threading.get_ident())
             underflow_modes.add(np.geterr()["under"])
-            return TANH.fn(H)
+            return TANH.fn(H, out=out)
 
         cfg = dataclasses.replace(cfg, activation=dataclasses.replace(
             TANH, value_and_deriv=spy_step, fn=spy_test))
         tc = TrainConfig(steps=40, delta=0.01, record_every=10,
                          snapshot_steps=(0, 20, 40))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-        monkeypatch.setattr(train_module, "_blas_threads", lambda: blas_threads)
+        monkeypatch.setattr(helper_module, "_blas_threads", lambda: blas_threads)
         with np.errstate(under="warn"):
             trace = run_training(cfg, tc, X, y, test_X=test_X, test_y=np.sin(test_X[:, 0]))
         assert underflow_modes == {"warn"}
@@ -272,7 +272,7 @@ class TestRunTraining:
         self._assert_same_arrays(trace, alone)
 
     def test_blas_thread_probe(self):
-        threads = train_module._blas_threads()
+        threads = helper_module._blas_threads()
         assert threads is None or threads >= 1
 
     def test_column_blocks_match_explicit_test_error(self):
@@ -292,7 +292,7 @@ class TestRunTraining:
 
     def test_helper_thread_does_not_outlive_the_run(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(train_module, "_blas_threads", lambda: 1)
+        monkeypatch.setattr(helper_module, "_blas_threads", lambda: 1)
         before = threading.active_count()
         cfg, X, y = _two_block_problem(LINEAR)
         test_X = X[:90]
@@ -308,10 +308,10 @@ class TestRunTraining:
         assert trace.diverged
         assert threading.active_count() == before
 
-        def fails_off_the_caller(H, *out):
+        def fails_off_the_caller(H, *out, **fn_out):
             if threading.current_thread() is not threading.main_thread():
                 raise FloatingPointError("helper block failed")
-            return LINEAR.value_and_deriv(H, *out) if out else LINEAR.fn(H)
+            return LINEAR.value_and_deriv(H, *out) if out else LINEAR.fn(H, **fn_out)
 
         for field_name, test_set in (("value_and_deriv", None), ("fn", test_X)):
             failing = dataclasses.replace(cfg, activation=dataclasses.replace(
@@ -420,6 +420,17 @@ class TestRunTraining:
         # testing on the training set: MSE must shrink alongside the loss
         assert len(trace.test_errors) == len(trace.steps)
         assert trace.test_errors[-1] < trace.test_errors[0]
+
+    @pytest.mark.parametrize("test_y", [None, np.zeros(3), np.zeros((4, 1))],
+                             ids=["missing", "short", "column"])
+    def test_test_set_needs_matching_targets(self, test_y):
+        # a missing or mis-shaped test_y used to record NaN or broadcast
+        # test errors without a word
+        cfg = ModelConfig(embedding=_identity_spec(3), activation=TANH,
+                          scaling=OURS, m=4, seed=4)
+        X, y = np.ones((4, 3)), np.zeros(4)
+        with pytest.raises(InvalidConfigError, match="test_"):
+            run_training(cfg, TrainConfig(steps=3), X, y, test_X=X, test_y=test_y)
 
     def test_trace_csv(self, tmp_path):
         cfg = ModelConfig(embedding=_identity_spec(2), activation=TANH,
