@@ -115,11 +115,9 @@ def leaky_relu(slope: float) -> ActivationSpec:
 
     def fn(u, out=None):
         u = np.asarray(u, dtype=np.float64)
-        if out is None:
-            return np.where(u > 0, u, slope * u)
         # The mask is taken before out is written, since out may be u.
         scaled = ~(u > 0)
-        np.multiply(u, slope, out=out, where=scaled)
+        out = np.multiply(u, slope, out=out, where=scaled)
         np.copyto(out, u, where=~scaled)
         return out
 

@@ -96,8 +96,10 @@ def gram_limit_mc(activation: ActivationSpec, X: np.ndarray, samples: int,
     The draws go into two (chunk, d) buffers in turn and A into one (chunk,
     n) buffer, so memory is O(chunk (2d + n) + n^2) for any sample count.
     While the helper thread (``ptwide.helper``) accumulates one chunk, the
-    caller draws the next into the other buffer; without a helper the
-    chunks are accumulated on the caller. The draws, the chunks and the
+    caller draws the next into the other buffer. A single chunk has
+    nothing to overlap and starts no helper; then, as on a machine without
+    a helper, the chunks are accumulated on the caller. The draws, the
+    chunks and the
     order of the sums are the same either way, and so are the bits.
     """
     if samples < 1000:
@@ -122,7 +124,7 @@ def gram_limit_mc(activation: ActivationSpec, X: np.ndarray, samples: int,
         A *= A
         s2 += A.T @ A
 
-    with Helper() as helper:
+    with Helper(samples > chunk) as helper:
         for i, start in enumerate(range(0, samples, chunk)):
             Z = draws[i % 2][:min(chunk, samples - start)]
             # The job on chunk i - 2, the last to read this buffer, was

@@ -44,6 +44,13 @@ def _blas_threads() -> int | None:
     return get()
 
 
+def _cpus() -> int:
+    """CPUs this process may run on; os.sched_getaffinity is Linux-only."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 class Helper:
     """``with Helper(wanted) as helper:`` gives a helper thread when
     ``wanted`` and the machine allows it, and runs jobs inline otherwise."""
@@ -51,7 +58,7 @@ class Helper:
     def __init__(self, wanted: bool = True):
         self._thread = None
         self._pending = False
-        if not (wanted and len(os.sched_getaffinity(0)) >= 2
+        if not (wanted and _cpus() >= 2
                 and _blas_threads() in (None, 1)):
             return
         import queue

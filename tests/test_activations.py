@@ -41,3 +41,15 @@ def test_fn_out_equals_fn(activation, into):
     np.testing.assert_array_equal(np.signbit(out), np.signbit(fresh))
     if into == "buf":
         np.testing.assert_array_equal(H, before)
+
+
+def test_leaky_relu_fn_matches_where_form():
+    # the masked multiply gives the bits of np.where(u > 0, u, slope * u)
+    rng = np.random.default_rng(6)
+    H = np.concatenate([rng.standard_normal(40) * 3,
+                        [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, np.nan, -np.nan]])
+    for slope in (0.3, 1.0):
+        got = leaky_relu(slope).fn(H)
+        want = np.where(H > 0, H, slope * H)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))

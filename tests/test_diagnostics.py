@@ -161,7 +161,8 @@ class TestGramLimitMc:
     def test_same_bits_with_and_without_helper(self, monkeypatch, activation,
                                                samples, chunk):
         # the helper accumulates chunk i while the caller draws chunk i + 1;
-        # the sums are the same, in the same order, as on one thread
+        # the sums are the same, in the same order, as on one thread. A
+        # single chunk has nothing to overlap and stays on the caller.
         X = np.random.default_rng(13).standard_normal((6, 4))
         threads = set()
 
@@ -172,7 +173,10 @@ class TestGramLimitMc:
         spied = dataclasses.replace(activation, fn=spy)
         self._patch_machine(monkeypatch, {0, 1}, 1)
         piped = gram_limit_mc(spied, X, samples, seed=4, chunk=chunk)
-        assert len(threads) == 1 and threading.get_ident() not in threads
+        if samples > chunk:
+            assert len(threads) == 1 and threading.get_ident() not in threads
+        else:
+            assert threads == {threading.get_ident()}
         threads.clear()
         self._patch_machine(monkeypatch, {0}, 2)
         alone = gram_limit_mc(spied, X, samples, seed=4, chunk=chunk)
@@ -209,10 +213,31 @@ class TestGramLimitMc:
             return TANH.fn(u, out=out)
 
         failing = dataclasses.replace(TANH, fn=fails_off_the_caller)
-        for samples, chunk in ((3000, 1000), (1500, 2000)):
-            with pytest.raises(FloatingPointError, match="helper chunk failed"):
-                gram_limit_mc(failing, X, samples, seed=1, chunk=chunk)
-            assert threading.active_count() == before
+        with pytest.raises(FloatingPointError, match="helper chunk failed"):
+            gram_limit_mc(failing, X, 3000, seed=1, chunk=1000)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cpu_count, threaded", [(2, True), (None, False)],
+                             ids=["two-cpus", "unknown-cpus"])
+    def test_same_bits_without_sched_getaffinity(self, monkeypatch, cpu_count,
+                                                 threaded):
+        # os.sched_getaffinity is Linux-only; elsewhere os.cpu_count decides
+        X = np.random.default_rng(16).standard_normal((6, 4))
+        self._patch_machine(monkeypatch, {0}, 1)
+        alone = gram_limit_mc(TANH, X, 2300, seed=4, chunk=1000)
+        threads = set()
+
+        def spy(u, out=None):
+            threads.add(threading.get_ident())
+            return TANH.fn(u, out=out)
+
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        rep = gram_limit_mc(dataclasses.replace(TANH, fn=spy), X, 2300, seed=4,
+                            chunk=1000)
+        assert (threading.get_ident() not in threads) == threaded
+        np.testing.assert_array_equal(rep.G, alone.G)
+        np.testing.assert_array_equal(rep.stderr, alone.stderr)
 
 
 class TestConcentrationProbe:
