@@ -6,11 +6,10 @@ concentration, feature-movement diagnostics) used to verify them.
 """
 
 from .activations import LINEAR, RELU, TANH, ActivationSpec, get_activation, leaky_relu
-from .embedding import EmbeddingSpec, EmbeddingWeights, build_embedding, embed, embed_batch
+from .embedding import EmbeddingSpec, EmbeddingWeights, build_embedding, embed_batch
 from .errors import InvalidConfigError, NumericError, PtwideError, StructuralError
 from .model import (MF, NTK, OURS, ForwardState, ModelConfig, Parameters,
-                    ScalingVariant, feature_snapshot, forward, get_scaling,
-                    init_params, load_params, save_params)
+                    ScalingVariant, forward, get_scaling, init_params)
 from .numkernel import RngStream, gaussian_matrix, rademacher_vector, sym_eig_extremes
 from .train import TrainConfig, TrainingTrace, gd_step, grad_W, loss, run_training
 from .diagnostics import (GramReport, MonitorResult, PLReport, TheoryConstants,
@@ -18,7 +17,7 @@ from .diagnostics import (GramReport, MonitorResult, PLReport, TheoryConstants,
                           gram, gram_limit_mc, lemma1_monitor, pl_monitor,
                           shrink_interval, theory_constants)
 from .datasets import Dataset, gen_quadratic_teacher, gen_random_label, gen_wei
-from .harness import (ExperimentConfig, RunArtifact, parse_experiment_config,
-                      rate_fit, run_experiment, run_single, test_error)
+from .harness import (ExperimentConfig, parse_experiment_config, rate_fit,
+                      run_experiment, run_single, test_error)
 
 __version__ = "0.1.0"

@@ -218,17 +218,6 @@ class MonitorResult:
     margins: list[float] = field(default_factory=list)
     steps: list[int] = field(default_factory=list)
 
-    def to_json(self, **extra) -> str:
-        return json.dumps({
-            "passed": self.passed,
-            "worst_margin": self.worst_margin,
-            "steps": self.steps,
-            "margins": self.margins,
-            "abs_slack": ABS_SLACK,
-            "rel_slack": REL_SLACK,
-            **extra,
-        }, indent=2)
-
 
 def lemma1_monitor(trace, constants: TheoryConstants, c_hat: float) -> MonitorResult:
     """Active-fraction lower bound along a trace.

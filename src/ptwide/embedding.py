@@ -82,11 +82,3 @@ def embed_batch(spec: EmbeddingSpec, weights: EmbeddingWeights, X: np.ndarray) -
     for Wbar in weights.deep_layers:
         H = sigma(H) @ Wbar.T / np.sqrt(spec.D)
     return sigma(H)
-
-
-def embed(spec: EmbeddingSpec, weights: EmbeddingWeights, x: np.ndarray) -> np.ndarray:
-    """Embed a single input vector: (d,) -> (D,)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != spec.d:
-        raise StructuralError(f"expected a length-{spec.d} vector, got shape {x.shape}")
-    return embed_batch(spec, weights, x[None, :])[0]

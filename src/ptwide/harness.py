@@ -1,4 +1,4 @@
-"""Config-driven reproduction of the three experiments and diagnostic sweeps.
+"""Config-driven reproduction of the three experiments and custom grids.
 
 Executes a grid of (n, seed, scaling) runs, evaluates the rate fit and the
 inequality monitors per run, and writes CSV/JSON artifacts: a per-run trace,
@@ -12,7 +12,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -29,38 +29,6 @@ SUMMARY_COLUMNS = ["experiment", "scaling", "n", "m", "seed", "final_loss",
 
 RATE_FLOOR = 1e-8
 
-_EXPERIMENT_DEFAULTS = {
-    # (dataset, embedding, activation, d)
-    "exp1": ("random_label", "identity", "tanh", 20),
-    "exp2": ("quadratic_teacher", "quadratic", "relu", 30),
-    "exp3": ("wei", "random_feature", "relu", 50),
-}
-
-@dataclass
-class ExperimentConfig:
-    experiment: str
-    dataset: str
-    n_list: list[int]
-    d: int
-    m: int
-    seeds: list[int]
-    scalings: list[str]
-    activation: str
-    embedding: str
-    D: int | None = None
-    depth: int = 0
-    c_hat: float = 1.0
-    steps: int = 1000
-    delta: float = 1.0
-    record_every: int = 10
-    snapshot_steps: list[int] | None = None
-    n_test: int = 500
-    teacher_seed: int = 999
-    output_dir: str = "runs"
-
-
-_ALLOWED_KEYS = {f.name for f in fields(ExperimentConfig)}
-
 _REQUIRED = object()
 
 
@@ -76,6 +44,16 @@ def config_field(raw: dict, key: str, cast, default=_REQUIRED):
     except (TypeError, ValueError):
         raise InvalidConfigError(f"config key {key!r} has an invalid value "
                                  f"{raw[key]!r}") from None
+
+
+def check_keys(raw, allowed: set[str]) -> dict:
+    """``raw`` itself, if it is a JSON object with no key outside ``allowed``."""
+    if not isinstance(raw, dict):
+        raise InvalidConfigError(f"config must be a JSON object, not {type(raw).__name__}")
+    unknown = set(raw) - allowed
+    if unknown:
+        raise InvalidConfigError(f"unknown config keys: {sorted(unknown)}")
+    return raw
 
 
 def integer(value) -> int:
@@ -110,42 +88,68 @@ def _optional(cast):
     return lambda value: None if value is None else cast(value)
 
 
+def _key(cast, **default):
+    """An ExperimentConfig key read with ``cast``; ``default`` is the
+    ``default`` or ``default_factory`` of ``dataclasses.field``, if any."""
+    return field(metadata={"cast": cast}, **default)
+
+
+# Each experiment's defaults for the keys that have none on ExperimentConfig.
+PRESETS = {
+    "exp1": {"dataset": "random_label", "embedding": "identity", "activation": "tanh", "d": 20},
+    "exp2": {"dataset": "quadratic_teacher", "embedding": "quadratic", "activation": "relu",
+             "d": 30},
+    "exp3": {"dataset": "wei", "embedding": "random_feature", "activation": "relu", "d": 50},
+    "custom": {"embedding": "identity", "activation": "tanh"},
+}
+
+
+@dataclass
+class ExperimentConfig:
+    """A (scalings x n_list x seeds) grid. Each key has its cast on its
+    field, and its default there or in its experiment's row of PRESETS;
+    a key with neither is required."""
+    n_list: list[int] = _key(list_of(integer))
+    seeds: list[int] = _key(list_of(integer))
+    dataset: str = _key(str)
+    embedding: str = _key(str)
+    activation: str = _key(str)
+    d: int = _key(integer)
+    experiment: str = _key(str, default="custom")
+    scalings: list[str] = _key(list_of(str), default_factory=lambda: ["ours"])
+    m: int = _key(integer, default=1024)
+    D: int | None = _key(_optional(integer), default=None)
+    depth: int = _key(integer, default=0)
+    c_hat: float = _key(real, default=1.0)
+    steps: int = _key(integer, default=1000)
+    delta: float = _key(real, default=1.0)
+    record_every: int = _key(integer, default=10)
+    snapshot_steps: list[int] | None = _key(_optional(list_of(integer)), default=None)
+    n_test: int = _key(integer, default=500)
+    teacher_seed: int = _key(integer, default=999)
+
+
+CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
+
+
 def parse_experiment_config(raw: dict) -> ExperimentConfig:
     """Validate a JSON config document; unknown keys are rejected."""
-    unknown = set(raw) - _ALLOWED_KEYS
-    if unknown:
-        raise InvalidConfigError(f"unknown config keys: {sorted(unknown)}")
-    experiment = config_field(raw, "experiment", str, "custom")
-    if experiment not in ("exp1", "exp2", "exp3", "diag_sweep", "custom"):
+    check_keys(raw, CONFIG_KEYS)
+    given = {f.name: config_field(raw, f.name, f.metadata["cast"])
+             for f in fields(ExperimentConfig) if f.name in raw}
+    experiment = given.get("experiment", ExperimentConfig.experiment)
+    if experiment not in PRESETS:
         raise InvalidConfigError(f"unknown experiment {experiment!r}")
-    defaults = _EXPERIMENT_DEFAULTS.get(experiment, (None, "identity", "tanh", None))
-    dataset = config_field(raw, "dataset", str, defaults[0])
-    d = config_field(raw, "d", integer, defaults[3])
-    if dataset is None or d is None:
-        raise InvalidConfigError("custom experiments must specify dataset and d")
-    cfg = ExperimentConfig(
-        experiment=experiment, dataset=dataset,
-        n_list=config_field(raw, "n_list", list_of(integer), []), d=d,
-        m=config_field(raw, "m", integer, 1024),
-        seeds=config_field(raw, "seeds", list_of(integer), []),
-        scalings=config_field(raw, "scalings", list_of(str), ["ours"]),
-        activation=config_field(raw, "activation", str, defaults[2]),
-        embedding=config_field(raw, "embedding", str, defaults[1]),
-        D=config_field(raw, "D", _optional(integer), None),
-        depth=config_field(raw, "depth", integer, 0),
-        c_hat=config_field(raw, "c_hat", real, 1.0),
-        steps=config_field(raw, "steps", integer, 1000),
-        delta=config_field(raw, "delta", real, 1.0),
-        record_every=config_field(raw, "record_every", integer, 10),
-        snapshot_steps=config_field(raw, "snapshot_steps", _optional(list_of(integer)), None),
-        n_test=config_field(raw, "n_test", integer, 500),
-        teacher_seed=config_field(raw, "teacher_seed", integer, 999),
-        output_dir=config_field(raw, "output_dir", str, "runs"),
-    )
-    if not cfg.n_list:
-        raise InvalidConfigError("n_list must be non-empty")
-    if not cfg.seeds:
-        raise InvalidConfigError("seeds must be non-empty")
+    values = {**PRESETS[experiment], **given}
+    for f in fields(ExperimentConfig):
+        if f.name not in values and f.default is MISSING and f.default_factory is MISSING:
+            raise InvalidConfigError(f"config is missing required key {f.name!r}")
+    cfg = ExperimentConfig(**values)
+    for key in ("n_list", "seeds", "scalings"):
+        if not getattr(cfg, key):
+            raise InvalidConfigError(f"{key} must be non-empty")
+    for name in cfg.scalings:
+        get_scaling(name)
     if cfg.experiment == "exp3" and cfg.D not in (None, cfg.m):
         raise InvalidConfigError("exp3 requires D == m")
     return cfg
@@ -188,8 +192,9 @@ def test_error(f_vals: np.ndarray, y: np.ndarray, kind: str) -> float:
     return float(np.mean((f_vals - y) ** 2))
 
 
-def _generate(kind: str, n: int, d: int, seed: int, split: str,
-              teacher_seed: int) -> datasets.Dataset:
+def generate(kind: str, n: int, d: int, seed: int, split: str,
+             teacher_seed: int) -> datasets.Dataset:
+    """The ``split`` draw of ``n`` points of the ``kind`` dataset in R^d."""
     if kind == "random_label":
         return datasets.gen_random_label(n, d, seed, split)
     if kind == "quadratic_teacher":
@@ -199,20 +204,15 @@ def _generate(kind: str, n: int, d: int, seed: int, split: str,
     raise InvalidConfigError(f"unknown dataset kind {kind!r}")
 
 
-def _embedding_spec(cfg: ExperimentConfig, activation, seed: int) -> EmbeddingSpec:
-    kind = cfg.embedding
+def embedding_spec(kind: str, d: int, D: int, depth: int, activation,
+                   seed: int) -> EmbeddingSpec:
+    """The ``kind`` embedding of R^d. ``D`` sizes the random kinds only:
+    identity has D = d and quadratic D = d^2."""
     if kind == "identity":
-        return EmbeddingSpec(kind="identity", d=cfg.d, D=cfg.d)
-    if kind == "quadratic":
-        return EmbeddingSpec(kind="quadratic", d=cfg.d, D=cfg.d * cfg.d)
-    D = cfg.D if cfg.D is not None else cfg.m
-    if kind == "random_feature":
-        return EmbeddingSpec(kind="random_feature", d=cfg.d, D=D,
-                             activation=activation, seed=seed)
-    if kind == "deep_random":
-        return EmbeddingSpec(kind="deep_random", d=cfg.d, D=D, depth=cfg.depth,
-                             activation=activation, seed=seed)
-    raise InvalidConfigError(f"unknown embedding kind {kind!r}")
+        D = d
+    elif kind == "quadratic":
+        D = d * d
+    return EmbeddingSpec(kind=kind, d=d, D=D, depth=depth, activation=activation, seed=seed)
 
 
 @dataclass
@@ -221,24 +221,16 @@ class RunResult:
     trace: TrainingTrace
 
 
-@dataclass
-class RunArtifact:
-    config: ExperimentConfig
-    summary: list[dict] = field(default_factory=list)
-    out_dir: str = ""
-    traces: dict[tuple, TrainingTrace] = field(default_factory=dict)
-
-
-def run_single(cfg: ExperimentConfig, scaling_name: str, n: int, seed: int,
-               keep_snapshots: bool = True) -> RunResult:
+def run_single(cfg: ExperimentConfig, scaling_name: str, n: int, seed: int) -> RunResult:
     """One grid cell: generate data, train, evaluate monitors and rate fit."""
     activation = get_activation(cfg.activation)
     scaling = get_scaling(scaling_name)
-    spec = _embedding_spec(cfg, activation, seed)
+    spec = embedding_spec(cfg.embedding, cfg.d, cfg.m if cfg.D is None else cfg.D,
+                          cfg.depth, activation, seed)
     model_cfg = ModelConfig(embedding=spec, activation=activation,
                             scaling=scaling, m=cfg.m, c_hat=cfg.c_hat, seed=seed)
-    train_data = _generate(cfg.dataset, n, cfg.d, seed, "train", cfg.teacher_seed)
-    test_data = _generate(cfg.dataset, cfg.n_test, cfg.d, seed, "test", cfg.teacher_seed)
+    train_data = generate(cfg.dataset, n, cfg.d, seed, "train", cfg.teacher_seed)
+    test_data = generate(cfg.dataset, cfg.n_test, cfg.d, seed, "test", cfg.teacher_seed)
 
     snaps = cfg.snapshot_steps
     if snaps is None:
@@ -249,25 +241,24 @@ def run_single(cfg: ExperimentConfig, scaling_name: str, n: int, seed: int,
     gram_report = gram(spec, params.embedding_weights, train_data.X)
 
     tc = TrainConfig(steps=cfg.steps, delta=cfg.delta,
-                     record_every=cfg.record_every,
-                     snapshot_steps=tuple(snaps) if keep_snapshots else ())
+                     record_every=cfg.record_every, snapshot_steps=tuple(snaps))
     metric = lambda f, t: test_error(f, t, cfg.dataset)
     trace = run_training(model_cfg, tc, train_data.X, train_data.y,
                          test_X=test_data.X, test_y=test_data.y,
-                         test_metric=metric, init=params,
-                         probe_X=probe if keep_snapshots else None)
+                         test_metric=metric, init=params, probe_X=probe)
+
+    row = {"experiment": cfg.experiment, "scaling": scaling_name, "n": n,
+           "m": cfg.m, "seed": seed}
+    if trace.diverged or not trace.losses:
+        nan = float("nan")
+        row.update(final_loss=nan, test_error=nan, rate_slope=nan, rate_r2=nan,
+                   lemma1_pass="na", pl_pass="na")
+        return RunResult(row=row, trace=trace)
 
     constants = theory_constants(activation.active_region,
                                  gram_report.g_min, gram_report.g_max,
                                  gram_report.lambda_min, gram_report.lambda_max,
                                  activation.k_deriv, cfg.c_hat)
-    if trace.diverged or not trace.losses:
-        row = {"experiment": cfg.experiment, "scaling": scaling_name, "n": n,
-               "m": cfg.m, "seed": seed, "final_loss": float("nan"),
-               "test_error": float("nan"), "rate_slope": float("nan"),
-               "rate_r2": float("nan"), "lemma1_pass": "na", "pl_pass": "na"}
-        return RunResult(row=row, trace=trace)
-
     if constants.degenerate:
         lemma1_pass = "na"
     else:
@@ -278,23 +269,14 @@ def run_single(cfg: ExperimentConfig, scaling_name: str, n: int, seed: int,
         slope, r2 = rate_fit(trace.steps, trace.losses)
     except InvalidConfigError:
         slope, r2 = float("nan"), float("nan")
-    row = {
-        "experiment": cfg.experiment,
-        "scaling": scaling_name,
-        "n": n,
-        "m": cfg.m,
-        "seed": seed,
-        "final_loss": trace.losses[-1],
-        "test_error": trace.test_errors[-1] if trace.test_errors else float("nan"),
-        "rate_slope": slope,
-        "rate_r2": r2,
-        "lemma1_pass": lemma1_pass,
-        "pl_pass": pl.passed,
-    }
+    row.update(final_loss=trace.losses[-1],
+               test_error=trace.test_errors[-1] if trace.test_errors else float("nan"),
+               rate_slope=slope, rate_r2=r2, lemma1_pass=lemma1_pass, pl_pass=pl.passed)
     return RunResult(row=row, trace=trace)
 
 
-def _fmt(v) -> str:
+def fmt(v) -> str:
+    """A value as written to CSV and printed: floats with 17 significant digits."""
     if isinstance(v, float):
         return "%.17g" % v
     return str(v)
@@ -305,29 +287,25 @@ def write_summary(rows: list[dict], path) -> None:
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_COLUMNS)
         for row in rows:
-            writer.writerow([_fmt(row[c]) for c in SUMMARY_COLUMNS])
+            writer.writerow([fmt(row[c]) for c in SUMMARY_COLUMNS])
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
-                   keep_traces: bool = False) -> RunArtifact:
-    """Execute the full (n x seeds x scalings) grid and write all artifacts.
+def run_experiment(cfg: ExperimentConfig, out_dir: str) -> list[dict]:
+    """Execute the full (n x seeds x scalings) grid, write all artifacts to
+    ``out_dir`` and return the summary rows.
 
     Individual-run divergence is recorded in its summary row; the grid
     continues. Outputs are bit-identical across reruns of the same config.
     """
-    out_dir = out_dir or cfg.output_dir
     os.makedirs(out_dir, exist_ok=True)
-    artifact = RunArtifact(config=cfg, out_dir=out_dir)
+    rows = []
     curves: dict[tuple, list[TrainingTrace]] = {}
 
     for scaling_name in cfg.scalings:
         for n in cfg.n_list:
             for seed in cfg.seeds:
                 result = run_single(cfg, scaling_name, n, seed)
-                artifact.summary.append(result.row)
-                key = (scaling_name, n, seed)
-                if keep_traces:
-                    artifact.traces[key] = result.trace
+                rows.append(result.row)
                 tag = f"{cfg.experiment}_{scaling_name}_n{n}_m{cfg.m}_s{seed}"
                 trace_to_csv(result.trace, os.path.join(out_dir, f"trace_{tag}.csv"))
                 if result.trace.snapshots:
@@ -335,20 +313,20 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
                 _write_probe_scatter(result.trace, os.path.join(out_dir, f"features_{tag}.csv"))
                 # The mean curves need only these fields. A finished cell's
                 # whole trace (snapshots, final W) is dropped before the next
-                # cell runs, unless keep_traces holds it.
+                # cell runs.
                 t = result.trace
                 curves.setdefault((scaling_name, n), []).append(TrainingTrace(
                     steps=t.steps, losses=t.losses, test_errors=t.test_errors,
                     diverged=t.diverged))
                 del result, t
 
-    write_summary(artifact.summary, os.path.join(out_dir, "summary.csv"))
+    write_summary(rows, os.path.join(out_dir, "summary.csv"))
     for (scaling_name, n), traces in curves.items():
         _write_mean_curve(traces, os.path.join(
             out_dir, f"mean_{cfg.experiment}_{scaling_name}_n{n}_m{cfg.m}.csv"))
     with open(os.path.join(out_dir, "config.json"), "w") as fh:
         json.dump(cfg.__dict__, fh, indent=2, sort_keys=True)
-    return artifact
+    return rows
 
 
 def _write_probe_scatter(trace: TrainingTrace, path) -> None:
@@ -361,7 +339,7 @@ def _write_probe_scatter(trace: TrainingTrace, path) -> None:
         for step in sorted(trace.probe_snapshots):
             H_p = trace.probe_snapshots[step]
             for i in range(H_p.shape[0]):
-                writer.writerow([step, i, "%.17g" % H_p[i, 0], "%.17g" % H_p[i, 1]])
+                writer.writerow([step, i, fmt(H_p[i, 0]), fmt(H_p[i, 1])])
 
 
 def _write_mean_curve(traces: list[TrainingTrace], path) -> None:
@@ -379,5 +357,4 @@ def _write_mean_curve(traces: list[TrainingTrace], path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["step", "mean_loss", "mean_test_error"])
         for i, s in enumerate(steps):
-            writer.writerow([s, "%.17g" % loss[i],
-                             "%.17g" % te[i] if te is not None else ""])
+            writer.writerow([s, fmt(loss[i]), fmt(te[i]) if te is not None else ""])

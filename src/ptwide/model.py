@@ -12,9 +12,6 @@ Only W is trained; the output signs c and the embedding weights are fixed.
 
 from __future__ import annotations
 
-import io
-import json
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,79 +121,3 @@ def forward(config: ModelConfig, params: Parameters, X: np.ndarray,
         raise NumericError(f"non-finite output at data point {a}")
     residual = None if y is None else f - np.asarray(y, dtype=np.float64)
     return ForwardState(H=H, f=f, residual=residual)
-
-
-def feature_snapshot(state: ForwardState) -> np.ndarray:
-    """Copy of the pre-activation matrix for later movement analysis."""
-    return state.H.copy()
-
-
-# --- binary serialization -------------------------------------------------
-
-_MAGIC = b"PTWD"
-_FORMAT_VERSION = 1
-
-
-def save_params(config: ModelConfig, params: Parameters, path) -> None:
-    """Write parameters to a versioned binary artifact (little-endian floats)."""
-    header = {
-        "m": config.m,
-        "D": config.D,
-        "scaling": config.scaling.name,
-        "activation": config.activation.name,
-        "c_hat": params.c_hat,
-        "seed": config.seed,
-        "embedding": {
-            "kind": config.embedding.kind,
-            "d": config.embedding.d,
-            "D": config.embedding.D,
-            "depth": config.embedding.depth,
-            "seed": config.embedding.seed,
-        },
-        "n_deep_layers": len(params.embedding_weights.deep_layers),
-        "has_z": params.embedding_weights.z is not None,
-    }
-    hdr = json.dumps(header).encode("utf-8")
-    buf = io.BytesIO()
-    buf.write(_MAGIC)
-    buf.write(struct.pack("<B", _FORMAT_VERSION))
-    buf.write(struct.pack("<I", len(hdr)))
-    buf.write(hdr)
-    buf.write(params.W.astype("<f8").tobytes())
-    buf.write(params.c.astype("<f8").tobytes())
-    if params.embedding_weights.z is not None:
-        buf.write(params.embedding_weights.z.astype("<f8").tobytes())
-    for layer in params.embedding_weights.deep_layers:
-        buf.write(layer.astype("<f8").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
-
-
-def load_params(path) -> tuple[dict, Parameters]:
-    """Read a parameter artifact; returns (header, Parameters)."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != _MAGIC:
-        raise InvalidConfigError("not a parameter artifact (bad magic)")
-    version = raw[4]
-    if version != _FORMAT_VERSION:
-        raise InvalidConfigError(f"unsupported format version {version}")
-    (hdr_len,) = struct.unpack("<I", raw[5:9])
-    header = json.loads(raw[9:9 + hdr_len].decode("utf-8"))
-    off = 9 + hdr_len
-    m, D = header["m"], header["D"]
-    emb = header["embedding"]
-
-    def take(shape):
-        nonlocal off
-        size = int(np.prod(shape)) * 8
-        arr = np.frombuffer(raw[off:off + size], dtype="<f8").reshape(shape).copy()
-        off += size
-        return arr
-
-    W = take((m, D))
-    c = take((m,))
-    z = take((D, emb["d"])) if header["has_z"] else None
-    layers = tuple(take((D, D)) for _ in range(header["n_deep_layers"]))
-    ew = EmbeddingWeights(z=z, deep_layers=layers)
-    return header, Parameters(W=W, c=c, embedding_weights=ew, c_hat=header["c_hat"])

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from ptwide.activations import RELU, TANH
-from ptwide.embedding import (EmbeddingSpec, EmbeddingWeights, build_embedding,
-                              embed, embed_batch)
+from ptwide.embedding import EmbeddingSpec, EmbeddingWeights, build_embedding, embed_batch
 from ptwide.errors import InvalidConfigError, StructuralError
 
 
@@ -30,23 +29,23 @@ class TestValidation:
 
     def test_wrong_input_shape(self):
         spec = EmbeddingSpec(kind="identity", d=3, D=3)
-        with pytest.raises(StructuralError):
-            embed_batch(spec, EmbeddingWeights(), np.ones((2, 4)))
-        with pytest.raises(StructuralError):
-            embed(spec, EmbeddingWeights(), np.ones(4))
+        # a batch or a single row of the wrong width, and a bare vector
+        for X in (np.ones((2, 4)), np.ones((1, 4)), np.ones(3)):
+            with pytest.raises(StructuralError):
+                embed_batch(spec, EmbeddingWeights(), X)
 
 
 class TestDeterministicKinds:
     def test_identity_passthrough(self):
         spec = EmbeddingSpec(kind="identity", d=2, D=2)
-        out = embed(spec, build_embedding(spec), np.array([1.0, 2.0]))
-        np.testing.assert_array_equal(out, [1.0, 2.0])
+        out = embed_batch(spec, build_embedding(spec), np.array([[1.0, 2.0]]))
+        np.testing.assert_array_equal(out, [[1.0, 2.0]])
 
     def test_quadratic_hand_example(self):
         # vec(x x^T) in row-major order for x = (1, 2)
         spec = EmbeddingSpec(kind="quadratic", d=2, D=4)
-        out = embed(spec, build_embedding(spec), np.array([1.0, 2.0]))
-        np.testing.assert_array_equal(out, [1.0, 2.0, 2.0, 4.0])
+        out = embed_batch(spec, build_embedding(spec), np.array([[1.0, 2.0]]))
+        np.testing.assert_array_equal(out, [[1.0, 2.0, 2.0, 4.0]])
 
     def test_quadratic_gram_is_squared_base_gram(self):
         rng = np.random.default_rng(11)
@@ -74,10 +73,10 @@ class TestRandomFeature:
         spec = EmbeddingSpec(kind="random_feature", d=4, D=1,
                              activation=RELU, seed=0)
         weights = EmbeddingWeights(z=np.array([[2.0, 0.0, 0.0, 0.0]]))
-        out = embed(spec, weights, np.array([3.0, 0.0, 0.0, 0.0]))
-        assert out[0] == 3.0
-        out_neg = embed(spec, weights, np.array([-3.0, 0.0, 0.0, 0.0]))
-        assert out_neg[0] == 0.0
+        out = embed_batch(spec, weights, np.array([[3.0, 0.0, 0.0, 0.0]]))
+        assert out.shape == (1, 1) and out[0, 0] == 3.0
+        out_neg = embed_batch(spec, weights, np.array([[-3.0, 0.0, 0.0, 0.0]]))
+        assert out_neg[0, 0] == 0.0
 
     def test_row_equivariance(self):
         spec = EmbeddingSpec(kind="random_feature", d=3, D=6,
@@ -100,7 +99,7 @@ class TestRandomFeature:
         opnorm = np.linalg.norm(weights.z, ord=2)
         for _ in range(20):
             x = rng.standard_normal(3)
-            phi = embed(spec, weights, x)
+            phi = embed_batch(spec, weights, x[None, :])[0]
             assert np.linalg.norm(phi) <= opnorm * np.linalg.norm(x) / np.sqrt(3) + 1e-12
 
 

@@ -9,8 +9,9 @@ from ptwide.activations import LINEAR
 from ptwide.cli import main as cli_main
 from ptwide.embedding import EmbeddingSpec
 from ptwide.errors import InvalidConfigError
-from ptwide.harness import (SUMMARY_COLUMNS, parse_experiment_config, rate_fit,
-                            run_experiment, run_single)
+from ptwide.harness import (PRESETS, SUMMARY_COLUMNS, ExperimentConfig,
+                            parse_experiment_config, rate_fit, run_experiment,
+                            run_single)
 from ptwide.harness import test_error as eval_error
 from ptwide.model import OURS, ModelConfig, Parameters
 from ptwide.embedding import EmbeddingWeights
@@ -90,6 +91,13 @@ class TestConfigParsing:
         assert cfg.embedding == "identity"
         assert cfg.d == 20
 
+    def test_defaults_are_the_dataclass_and_preset_defaults(self):
+        for experiment in ("exp1", "exp2", "exp3"):
+            cfg = parse_experiment_config({"experiment": experiment,
+                                           "n_list": [4], "seeds": [1]})
+            assert cfg == ExperimentConfig(experiment=experiment, n_list=[4], seeds=[1],
+                                           **PRESETS[experiment])
+
     def test_unknown_key_rejected(self):
         with pytest.raises(InvalidConfigError):
             parse_experiment_config(self._base(learning_rate=0.1))
@@ -115,6 +123,8 @@ class TestConfigParsing:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(InvalidConfigError):
             parse_experiment_config(self._base(experiment="exp9"))
+        with pytest.raises(InvalidConfigError):
+            parse_experiment_config(self._base(experiment="diag_sweep"))
 
     def test_custom_requires_dataset(self):
         with pytest.raises(InvalidConfigError):
@@ -146,9 +156,9 @@ class TestRunExperiment:
 
     def test_summary_shape_and_artifacts(self, small_cfg, tmp_path):
         out = tmp_path / "runs"
-        artifact = run_experiment(small_cfg, out_dir=str(out))
-        assert len(artifact.summary) == 2  # 1 scaling x 1 n x 2 seeds
-        for row in artifact.summary:
+        rows = run_experiment(small_cfg, out_dir=str(out))
+        assert len(rows) == 2  # 1 scaling x 1 n x 2 seeds
+        for row in rows:
             assert list(row) == SUMMARY_COLUMNS
             assert math.isfinite(row["final_loss"])
         names = os.listdir(out)
@@ -259,10 +269,12 @@ class TestCli:
         {"m": "x"}, {"seeds": 1}, {"delta": "fast"}, {"snapshot_steps": ["a"]},
         {"n_list": [4.9]}, {"m": 8.7}, {"seeds": [True]}, {"steps": 5.5},
         {"delta": True}, {"c_hat": False}, {"delta": float("nan")},
-        {"c_hat": float("inf")}, {"delta": "-inf"},
+        {"c_hat": float("inf")}, {"delta": "-inf"}, {"scalings": []},
+        {"scalings": ["ours", "bogus"]}, {"output_dir": "runs"},
     ], ids=["m-type", "seeds-not-list", "delta-type", "snapshot-steps-type",
             "n_list-fractional", "m-fractional", "seeds-bool", "steps-fractional",
-            "delta-bool", "c_hat-bool", "delta-nan", "c_hat-inf", "delta-minus-inf-string"])
+            "delta-bool", "c_hat-bool", "delta-nan", "c_hat-inf", "delta-minus-inf-string",
+            "scalings-empty", "scalings-unknown-second", "output_dir-not-a-key"])
     def test_bad_experiment_config_exits_2(self, tmp_path, capsys, verb, payload):
         cfg = self._write(tmp_path / "bad.json",
                           {"experiment": "exp1", "d": 6, "n_list": [4], "m": 8,
@@ -271,6 +283,22 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "o").exists()  # rejected before any cell ran
+
+    @pytest.mark.parametrize("verb", ["train", "experiment", "gram", "concentration",
+                                      "gen-data"])
+    @pytest.mark.parametrize("content", [None, "null", "5", '"abc"', "[]"],
+                             ids=["missing-file", "null", "number", "string", "list"])
+    def test_unreadable_or_non_object_config_exits_2(self, tmp_path, capsys, verb,
+                                                     content):
+        cfg = tmp_path / "cfg.json"
+        if content is not None:
+            cfg.write_text(content)
+        rc = cli_main([verb, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert "unknown config keys" not in err
 
     def test_concentration_seed_override(self, tmp_path, capsys):
         # --seed sets the probe's seed too, not only the dataset's

@@ -5,8 +5,7 @@ from ptwide.activations import LINEAR, RELU, TANH
 from ptwide.embedding import EmbeddingSpec, EmbeddingWeights
 from ptwide.errors import InvalidConfigError
 from ptwide.model import (MF, NTK, OURS, ModelConfig, Parameters, forward,
-                          feature_snapshot, get_scaling, init_params,
-                          load_params, save_params)
+                          get_scaling, init_params)
 from ptwide.train import TrainConfig, run_training
 
 
@@ -142,14 +141,6 @@ class TestForward:
         f2 = forward(cfg, permuted, X).f
         np.testing.assert_allclose(f1, f2, atol=1e-14)
 
-    def test_feature_snapshot_is_independent_copy(self):
-        cfg = ModelConfig(embedding=_identity_spec(2), activation=TANH,
-                          scaling=OURS, m=3, seed=0)
-        state = forward(cfg, init_params(cfg), np.ones((2, 2)))
-        snap = feature_snapshot(state)
-        snap[0, 0] += 1.0
-        assert snap[0, 0] != state.H[0, 0]
-
 
 class TestSignFlipSymmetry:
     def test_negating_c_and_y_negates_trajectory(self):
@@ -170,39 +161,3 @@ class TestSignFlipSymmetry:
         np.testing.assert_allclose(t1.final_params.W, t2.final_params.W,
                                    rtol=1e-12, atol=1e-15)
 
-
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        spec = EmbeddingSpec(kind="random_feature", d=4, D=6,
-                             activation=RELU, seed=3)
-        cfg = ModelConfig(embedding=spec, activation=RELU, scaling=OURS,
-                          m=5, c_hat=1.5, seed=9)
-        params = init_params(cfg)
-        path = tmp_path / "params.bin"
-        save_params(cfg, params, path)
-        header, loaded = load_params(path)
-        assert header["m"] == 5 and header["scaling"] == "ours"
-        np.testing.assert_array_equal(loaded.W, params.W)
-        np.testing.assert_array_equal(loaded.c, params.c)
-        np.testing.assert_array_equal(loaded.embedding_weights.z,
-                                      params.embedding_weights.z)
-        assert loaded.c_hat == 1.5
-
-    def test_deep_layers_round_trip(self, tmp_path):
-        spec = EmbeddingSpec(kind="deep_random", d=3, D=4, depth=5,
-                             activation=RELU, seed=2)
-        cfg = ModelConfig(embedding=spec, activation=RELU, scaling=OURS, m=3)
-        params = init_params(cfg)
-        path = tmp_path / "deep.bin"
-        save_params(cfg, params, path)
-        _, loaded = load_params(path)
-        assert len(loaded.embedding_weights.deep_layers) == 2
-        for a, b in zip(loaded.embedding_weights.deep_layers,
-                        params.embedding_weights.deep_layers):
-            np.testing.assert_array_equal(a, b)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(InvalidConfigError):
-            load_params(path)

@@ -5,6 +5,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptwide.activations import LINEAR, RELU, TANH, leaky_relu
 from ptwide.embedding import EmbeddingSpec, EmbeddingWeights, embed_batch
@@ -37,13 +39,16 @@ def _kahan_half_sum_squares(r):
 
 
 def _check_kernel_path_against_explicit(activation, scaling, m, n, D, delta):
-    # the H-space recursion must agree with literally recomputing
-    # forward / grad_W / gd_step every step
     spec = EmbeddingSpec(kind="random_feature", d=3, D=D, activation=TANH, seed=2)
     cfg = ModelConfig(embedding=spec, activation=activation, scaling=scaling,
                       m=m, seed=5)
     rng = np.random.default_rng(8)
-    X, y = rng.standard_normal((n, 3)), rng.standard_normal(n)
+    _check_kernel_path_on(cfg, rng.standard_normal((n, 3)), rng.standard_normal(n), delta)
+
+
+def _check_kernel_path_on(cfg, X, y, delta):
+    # the H-space recursion must agree with literally recomputing
+    # forward / grad_W / gd_step every step
     steps = 30
 
     trace = run_training(cfg, TrainConfig(steps=steps, delta=delta,
@@ -194,6 +199,31 @@ class TestRunTraining:
         # m is even for ntk and mf needs D = m
         _check_kernel_path_against_explicit(activation, scaling, m=6, n=4,
                                             D=6 if scaling is MF else 7, delta=0.5)
+
+    @pytest.mark.parametrize("kind", ["identity", "quadratic", "random_feature",
+                                      "deep_random"])
+    @pytest.mark.parametrize("scaling", [OURS, NTK, MF], ids=lambda s: s.name)
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(d=st.integers(1, 4), width=st.integers(1, 8), n=st.integers(1, 6),
+           depth=st.integers(3, 5), seed=st.integers(0, 2**32 - 1))
+    def test_kernel_path_matches_explicit_path_on_every_embedding(
+            self, kind, scaling, d, width, n, depth, seed):
+        # identity and quadratic fix D; mf needs m = D and ntk an even m
+        D = {"identity": d, "quadratic": d * d}.get(kind, width)
+        m = {"mf": D, "ntk": 2 * width}.get(scaling.name, width)
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, d))
+        X *= np.sqrt(d) / np.linalg.norm(X, axis=1, keepdims=True)
+        y = rng.standard_normal(n)
+        for activation in (TANH, RELU, LINEAR, leaky_relu(0.3)):
+            spec = EmbeddingSpec(kind=kind, d=d, D=D, depth=depth,
+                                 activation=activation, seed=seed)
+            cfg = ModelConfig(embedding=spec, activation=activation, scaling=scaling,
+                              m=m, seed=seed)
+            # |sigma'| <= 1, so a step of 1 / lambda_max(Phi Phi^T / D) is stable
+            Phi = embed_batch(spec, init_params(cfg).embedding_weights, X)
+            lam = np.linalg.eigvalsh(Phi @ Phi.T / D)[-1]
+            _check_kernel_path_on(cfg, X, y, delta=1.0 / max(1.0, lam))
 
     @pytest.mark.parametrize("activation, scaling", [(TANH, OURS), (RELU, MF)],
                              ids=["tanh-ours", "relu-mf"])
