@@ -16,7 +16,7 @@ from .activations import RELU
 from .errors import InvalidConfigError
 from .model import ModelConfig, OURS, forward, init_params
 from .embedding import EmbeddingSpec
-from .numkernel import RngStream
+from .numkernel import RngStream, fmt
 
 
 @dataclass(frozen=True)
@@ -94,4 +94,4 @@ def to_csv(dataset: Dataset, path) -> None:
         writer = csv.writer(fh)
         writer.writerow([f"x_{j + 1}" for j in range(d)] + ["y"])
         for xa, ya in zip(dataset.X, dataset.y):
-            writer.writerow(["%.17g" % v for v in xa] + ["%.17g" % ya])
+            writer.writerow([fmt(v) for v in xa] + [fmt(ya)])

@@ -9,6 +9,7 @@ scatter data for two probe inputs at steps {0, mid, final}.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -22,6 +23,7 @@ from .diagnostics import gram, lemma1_monitor, pl_monitor, theory_constants
 from .embedding import EmbeddingSpec
 from .errors import InvalidConfigError
 from .model import ModelConfig, get_scaling, init_params
+from .numkernel import fmt
 from .train import TrainConfig, TrainingTrace, run_training, snapshots_to_npz, trace_to_csv
 
 SUMMARY_COLUMNS = ["experiment", "scaling", "n", "m", "seed", "final_loss",
@@ -29,31 +31,33 @@ SUMMARY_COLUMNS = ["experiment", "scaling", "n", "m", "seed", "final_loss",
 
 RATE_FLOOR = 1e-8
 
-_REQUIRED = object()
 
-
-def config_field(raw: dict, key: str, cast, default=_REQUIRED):
-    """``cast(raw[key])``, or ``default`` if absent; a missing required key
-    or a value ``cast`` rejects is an InvalidConfigError (exit 2)."""
-    if key not in raw and default is _REQUIRED:
-        raise InvalidConfigError(f"config is missing required key {key!r}")
-    if key not in raw:
-        return default
-    try:
-        return cast(raw[key])
-    except (TypeError, ValueError):
-        raise InvalidConfigError(f"config key {key!r} has an invalid value "
-                                 f"{raw[key]!r}") from None
-
-
-def check_keys(raw, allowed: set[str]) -> dict:
-    """``raw`` itself, if it is a JSON object with no key outside ``allowed``."""
+def parse(cls, raw):
+    """The dataclass ``cls`` from the JSON object ``raw``, each key read with the
+    cast on its field; any fault is an InvalidConfigError (exit 2)."""
     if not isinstance(raw, dict):
         raise InvalidConfigError(f"config must be a JSON object, not {type(raw).__name__}")
-    unknown = set(raw) - allowed
+    unknown = set(raw) - {f.name for f in fields(cls)}
     if unknown:
         raise InvalidConfigError(f"unknown config keys: {sorted(unknown)}")
-    return raw
+    values = {}
+    for f in fields(cls):
+        if f.name in raw:
+            try:
+                values[f.name] = f.metadata["cast"](raw[f.name])
+            except (TypeError, ValueError):
+                raise InvalidConfigError(f"config key {f.name!r} has an invalid value "
+                                         f"{raw[f.name]!r}") from None
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise InvalidConfigError(f"config is missing required key {f.name!r}")
+    return cls(**values)
+
+
+def text(value) -> str:
+    """The cast for a string config value: only a JSON string."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
 
 
 def integer(value) -> int:
@@ -89,9 +93,45 @@ def _optional(cast):
 
 
 def _key(cast, **default):
-    """An ExperimentConfig key read with ``cast``; ``default`` is the
-    ``default`` or ``default_factory`` of ``dataclasses.field``, if any."""
+    """A config key read with ``cast``; ``default`` is ``field``'s default(_factory)."""
     return field(metadata={"cast": cast}, **default)
+
+
+@dataclass
+class DatasetConfig:
+    """``gen-data``: one split of a dataset."""
+    dataset: str = _key(text)
+    n: int = _key(integer)
+    d: int = _key(integer)
+    seed: int = _key(integer, default=0)
+    split: str = _key(text, default="train")
+    teacher_seed: int = _key(integer, default=999)
+
+
+@dataclass(kw_only=True)
+class GramConfig(DatasetConfig):
+    """``gram``: an embedding's Gram spectrum, or with ``mc_samples`` a Monte-Carlo
+    estimate of its infinite-width limit, drawn from ``embedding_seed``, which
+    has no ``embedding``, ``D`` or ``depth`` (None: identity, d and 0)."""
+    activation: str = _key(text, default="relu")
+    embedding: str | None = _key(text, default=None)
+    D: int | None = _key(integer, default=None)
+    depth: int | None = _key(integer, default=None)
+    embedding_seed: int = _key(integer, default=0)
+    mc_samples: int = _key(integer, default=0)
+
+    def __post_init__(self):
+        if self.mc_samples and (self.embedding, self.D, self.depth) != (None, None, None):
+            raise InvalidConfigError("mc_samples takes no embedding, D or depth")
+
+
+@dataclass(kw_only=True)
+class ConcentrationConfig(DatasetConfig):
+    """``concentration``: random-feature Grams against a Monte-Carlo limit."""
+    D_list: list[int] = _key(list_of(integer))
+    activation: str = _key(text, default="relu")
+    trials: int = _key(integer, default=5)
+    mc_samples: int = _key(integer, default=1_000_000)
 
 
 # Each experiment's defaults for the keys that have none on ExperimentConfig.
@@ -106,17 +146,16 @@ PRESETS = {
 
 @dataclass
 class ExperimentConfig:
-    """A (scalings x n_list x seeds) grid. Each key has its cast on its
-    field, and its default there or in its experiment's row of PRESETS;
-    a key with neither is required."""
+    """``train`` and ``experiment``: a (scalings x n_list x seeds) grid. A key with
+    no default on its field or in its experiment's row of PRESETS is required."""
     n_list: list[int] = _key(list_of(integer))
     seeds: list[int] = _key(list_of(integer))
-    dataset: str = _key(str)
-    embedding: str = _key(str)
-    activation: str = _key(str)
+    dataset: str = _key(text)
+    embedding: str = _key(text)
+    activation: str = _key(text)
     d: int = _key(integer)
-    experiment: str = _key(str, default="custom")
-    scalings: list[str] = _key(list_of(str), default_factory=lambda: ["ours"])
+    experiment: str = _key(text, default="custom")
+    scalings: list[str] = _key(list_of(text), default_factory=lambda: ["ours"])
     m: int = _key(integer, default=1024)
     D: int | None = _key(_optional(integer), default=None)
     depth: int = _key(integer, default=0)
@@ -129,22 +168,14 @@ class ExperimentConfig:
     teacher_seed: int = _key(integer, default=999)
 
 
-CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
-
-
-def parse_experiment_config(raw: dict) -> ExperimentConfig:
-    """Validate a JSON config document; unknown keys are rejected."""
-    check_keys(raw, CONFIG_KEYS)
-    given = {f.name: config_field(raw, f.name, f.metadata["cast"])
-             for f in fields(ExperimentConfig) if f.name in raw}
-    experiment = given.get("experiment", ExperimentConfig.experiment)
-    if experiment not in PRESETS:
-        raise InvalidConfigError(f"unknown experiment {experiment!r}")
-    values = {**PRESETS[experiment], **given}
-    for f in fields(ExperimentConfig):
-        if f.name not in values and f.default is MISSING and f.default_factory is MISSING:
-            raise InvalidConfigError(f"config is missing required key {f.name!r}")
-    cfg = ExperimentConfig(**values)
+def parse_experiment_config(raw) -> ExperimentConfig:
+    """``parse`` with the experiment's row of PRESETS under ``raw``, then grid checks."""
+    if isinstance(raw, dict):
+        experiment = raw.get("experiment", ExperimentConfig.experiment)
+        if not (isinstance(experiment, str) and experiment in PRESETS):
+            raise InvalidConfigError(f"unknown experiment {experiment!r}")
+        raw = {**PRESETS[experiment], **raw}
+    cfg = parse(ExperimentConfig, raw)
     for key in ("n_list", "seeds", "scalings"):
         if not getattr(cfg, key):
             raise InvalidConfigError(f"{key} must be non-empty")
@@ -156,11 +187,8 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
 
 
 def rate_fit(steps, losses) -> tuple[float, float]:
-    """Least-squares slope of log-loss per step over the decaying window.
-
-    The window runs from step 0 until the loss first drops below 1e-8 or a
-    non-positive value appears; returns (slope_per_step, r_squared).
-    """
+    """(slope per step, r^2) of a least-squares line through log-loss, over the
+    window from step 0 up to the first loss below 1e-8 or not positive."""
     w_steps, w_losses = [], []
     for s, lv in zip(steps, losses):
         if lv <= 0 or lv < RATE_FLOOR:
@@ -180,10 +208,8 @@ def rate_fit(steps, losses) -> tuple[float, float]:
 
 
 def test_error(f_vals: np.ndarray, y: np.ndarray, kind: str) -> float:
-    """Mean squared error, except 0-1 sign error for the wei dataset.
-
-    sign(0) is always counted as an error under the 0-1 convention.
-    """
+    """Mean squared error, except for wei the 0-1 sign error, under which
+    sign(0) always counts as an error."""
     f_vals = np.asarray(f_vals, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if kind == "wei":
@@ -208,10 +234,7 @@ def embedding_spec(kind: str, d: int, D: int, depth: int, activation,
                    seed: int) -> EmbeddingSpec:
     """The ``kind`` embedding of R^d. ``D`` sizes the random kinds only:
     identity has D = d and quadratic D = d^2."""
-    if kind == "identity":
-        D = d
-    elif kind == "quadratic":
-        D = d * d
+    D = {"identity": d, "quadratic": d * d}.get(kind, D)
     return EmbeddingSpec(kind=kind, d=d, D=D, depth=depth, activation=activation, seed=seed)
 
 
@@ -221,27 +244,37 @@ class RunResult:
     trace: TrainingTrace
 
 
-def run_single(cfg: ExperimentConfig, scaling_name: str, n: int, seed: int) -> RunResult:
-    """One grid cell: generate data, train, evaluate monitors and rate fit."""
+def _cell(cfg: ExperimentConfig, scaling_name: str, n: int, seed: int):
+    """One cell's model and train configs and data, drawing no weights."""
     activation = get_activation(cfg.activation)
-    scaling = get_scaling(scaling_name)
     spec = embedding_spec(cfg.embedding, cfg.d, cfg.m if cfg.D is None else cfg.D,
                           cfg.depth, activation, seed)
-    model_cfg = ModelConfig(embedding=spec, activation=activation,
-                            scaling=scaling, m=cfg.m, c_hat=cfg.c_hat, seed=seed)
-    train_data = generate(cfg.dataset, n, cfg.d, seed, "train", cfg.teacher_seed)
-    test_data = generate(cfg.dataset, cfg.n_test, cfg.d, seed, "test", cfg.teacher_seed)
-
+    model_cfg = ModelConfig(embedding=spec, activation=activation, m=cfg.m, c_hat=cfg.c_hat,
+                            scaling=get_scaling(scaling_name), seed=seed)
     snaps = cfg.snapshot_steps
     if snaps is None:
         snaps = sorted({0, cfg.steps // 2, cfg.steps})
+    tc = TrainConfig(steps=cfg.steps, delta=cfg.delta, record_every=cfg.record_every,
+                     snapshot_steps=tuple(snaps))
+    train_data = generate(cfg.dataset, n, cfg.d, seed, "train", cfg.teacher_seed)
+    test_data = generate(cfg.dataset, cfg.n_test, cfg.d, seed, "test", cfg.teacher_seed)
+    return model_cfg, tc, train_data, test_data
+
+
+def check_grid(cfg: ExperimentConfig) -> None:
+    """Raise the InvalidConfigError of the first bad cell, if any."""
+    for cell in itertools.product(cfg.scalings, cfg.n_list, cfg.seeds):
+        _cell(cfg, *cell)
+
+
+def run_single(cfg: ExperimentConfig, scaling_name: str, n: int, seed: int) -> RunResult:
+    """One grid cell: generate data, train, evaluate monitors and rate fit."""
+    model_cfg, tc, train_data, test_data = _cell(cfg, scaling_name, n, seed)
     probe = np.vstack([train_data.X[0], test_data.X[0]])
 
     params = init_params(model_cfg)
-    gram_report = gram(spec, params.embedding_weights, train_data.X)
+    gram_report = gram(model_cfg.embedding, params.embedding_weights, train_data.X)
 
-    tc = TrainConfig(steps=cfg.steps, delta=cfg.delta,
-                     record_every=cfg.record_every, snapshot_steps=tuple(snaps))
     metric = lambda f, t: test_error(f, t, cfg.dataset)
     trace = run_training(model_cfg, tc, train_data.X, train_data.y,
                          test_X=test_data.X, test_y=test_data.y,
@@ -255,14 +288,12 @@ def run_single(cfg: ExperimentConfig, scaling_name: str, n: int, seed: int) -> R
                    lemma1_pass="na", pl_pass="na")
         return RunResult(row=row, trace=trace)
 
-    constants = theory_constants(activation.active_region,
+    constants = theory_constants(model_cfg.activation.active_region,
                                  gram_report.g_min, gram_report.g_max,
                                  gram_report.lambda_min, gram_report.lambda_max,
-                                 activation.k_deriv, cfg.c_hat)
-    if constants.degenerate:
-        lemma1_pass = "na"
-    else:
-        lemma1_pass = lemma1_monitor(trace, constants, cfg.c_hat).passed
+                                 model_cfg.activation.k_deriv, cfg.c_hat)
+    lemma1_pass = ("na" if constants.degenerate
+                   else lemma1_monitor(trace, constants, cfg.c_hat).passed)
     pl = pl_monitor(model_cfg, trace.final_params, train_data.X, train_data.y,
                     gram_report)
     try:
@@ -275,13 +306,6 @@ def run_single(cfg: ExperimentConfig, scaling_name: str, n: int, seed: int) -> R
     return RunResult(row=row, trace=trace)
 
 
-def fmt(v) -> str:
-    """A value as written to CSV and printed: floats with 17 significant digits."""
-    if isinstance(v, float):
-        return "%.17g" % v
-    return str(v)
-
-
 def write_summary(rows: list[dict], path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -291,34 +315,28 @@ def write_summary(rows: list[dict], path) -> None:
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str) -> list[dict]:
-    """Execute the full (n x seeds x scalings) grid, write all artifacts to
-    ``out_dir`` and return the summary rows.
-
-    Individual-run divergence is recorded in its summary row; the grid
-    continues. Outputs are bit-identical across reruns of the same config.
-    """
+    """Check every cell, then run them all, write all artifacts to ``out_dir``
+    and return the summary rows. A diverged cell is recorded in its row and
+    the grid continues. Reruns of a config give bit-identical outputs."""
+    check_grid(cfg)
     os.makedirs(out_dir, exist_ok=True)
     rows = []
     curves: dict[tuple, list[TrainingTrace]] = {}
 
-    for scaling_name in cfg.scalings:
-        for n in cfg.n_list:
-            for seed in cfg.seeds:
-                result = run_single(cfg, scaling_name, n, seed)
-                rows.append(result.row)
-                tag = f"{cfg.experiment}_{scaling_name}_n{n}_m{cfg.m}_s{seed}"
-                trace_to_csv(result.trace, os.path.join(out_dir, f"trace_{tag}.csv"))
-                if result.trace.snapshots:
-                    snapshots_to_npz(result.trace, os.path.join(out_dir, f"snaps_{tag}.npz"))
-                _write_probe_scatter(result.trace, os.path.join(out_dir, f"features_{tag}.csv"))
-                # The mean curves need only these fields. A finished cell's
-                # whole trace (snapshots, final W) is dropped before the next
-                # cell runs.
-                t = result.trace
-                curves.setdefault((scaling_name, n), []).append(TrainingTrace(
-                    steps=t.steps, losses=t.losses, test_errors=t.test_errors,
-                    diverged=t.diverged))
-                del result, t
+    for scaling_name, n, seed in itertools.product(cfg.scalings, cfg.n_list, cfg.seeds):
+        result = run_single(cfg, scaling_name, n, seed)
+        rows.append(result.row)
+        tag = f"{cfg.experiment}_{scaling_name}_n{n}_m{cfg.m}_s{seed}"
+        trace_to_csv(result.trace, os.path.join(out_dir, f"trace_{tag}.csv"))
+        if result.trace.snapshots:
+            snapshots_to_npz(result.trace, os.path.join(out_dir, f"snaps_{tag}.npz"))
+        _write_probe_scatter(result.trace, os.path.join(out_dir, f"features_{tag}.csv"))
+        # The mean curves need only these fields. A finished cell's whole
+        # trace (snapshots, final W) is dropped before the next cell runs.
+        t = result.trace
+        curves.setdefault((scaling_name, n), []).append(TrainingTrace(
+            steps=t.steps, losses=t.losses, test_errors=t.test_errors, diverged=t.diverged))
+        del result, t
 
     write_summary(rows, os.path.join(out_dir, "summary.csv"))
     for (scaling_name, n), traces in curves.items():
@@ -350,9 +368,8 @@ def _write_mean_curve(traces: list[TrainingTrace], path) -> None:
     min_len = min(len(t.steps) for t in usable)
     steps = usable[0].steps[:min_len]
     loss = np.mean([t.losses[:min_len] for t in usable], axis=0)
-    has_test = all(t.test_errors for t in usable)
     te = (np.mean([t.test_errors[:min_len] for t in usable], axis=0)
-          if has_test else None)
+          if all(t.test_errors for t in usable) else None)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "mean_loss", "mean_test_error"])

@@ -28,11 +28,13 @@ class ScalingVariant:
     output_exponent: float  # f prefactor m^-p
     hidden_exponent: float  # h prefactor D^-q
     lr_exponent: float      # update W -= m^lr * delta * grad
+    paired_init: bool = False  # neurons drawn in (+, -) pairs with shared W rows
+    tied_width: bool = False   # the embedding width D must equal m
 
 
 OURS = ScalingVariant("ours", 1.0, 0.5, 1.0)
-NTK = ScalingVariant("ntk", 0.5, 0.5, 0.0)
-MF = ScalingVariant("mf", 1.0, 1.0, 2.0)
+NTK = ScalingVariant("ntk", 0.5, 0.5, 0.0, paired_init=True)
+MF = ScalingVariant("mf", 1.0, 1.0, 2.0, tied_width=True)
 
 _VARIANTS = {"ours": OURS, "ntk": NTK, "mf": MF}
 
@@ -58,10 +60,10 @@ class ModelConfig:
             raise InvalidConfigError("m must be >= 1")
         if self.c_hat <= 0:
             raise InvalidConfigError("c_hat must be positive")
-        if self.scaling.name == "ntk" and self.m % 2 != 0:
-            raise InvalidConfigError("ntk symmetrized init requires even m")
-        if self.scaling.name == "mf" and self.embedding.D != self.m:
-            raise InvalidConfigError("mf scaling requires D == m")
+        if self.scaling.paired_init and self.m % 2 != 0:
+            raise InvalidConfigError(f"{self.scaling.name} symmetrized init requires even m")
+        if self.scaling.tied_width and self.embedding.D != self.m:
+            raise InvalidConfigError(f"{self.scaling.name} scaling requires D == m")
 
     @property
     def d(self) -> int:
@@ -90,12 +92,12 @@ class ForwardState:
 def init_params(config: ModelConfig) -> Parameters:
     """Draw initial parameters: W standard normal, c scaled Rademacher signs.
 
-    Under the ntk variant the neurons are duplicated in adjacent (+, -)
-    sign pairs with shared W rows; adjacent pairing makes the cancellation
-    exact in floating point, so f at initialization is identically zero.
+    Under a paired variant (ntk) the neurons come in adjacent (+, -) sign
+    pairs with shared W rows; adjacent pairing makes the cancellation exact
+    in floating point, so f at initialization is identically zero.
     """
     ew = build_embedding(config.embedding)
-    if config.scaling.name == "ntk":
+    if config.scaling.paired_init:
         half = config.m // 2
         w_half = gaussian_matrix(RngStream(config.seed, "w"), half, config.D)
         c_half = rademacher_vector(RngStream(config.seed, "c"), half, config.c_hat)

@@ -1,4 +1,4 @@
-"""Seeded randomness and dense symmetric eigenvalue extraction.
+"""Seeded randomness, dense symmetric eigenvalue extraction and number formatting.
 
 Matrices are plain float64 numpy arrays throughout the package. Random
 draws go through named :class:`RngStream` objects so that, e.g., changing
@@ -15,6 +15,11 @@ import numpy as np
 from .errors import InvalidConfigError, NumericError, StructuralError
 
 SYMMETRY_TOL = 1e-12
+
+
+def fmt(v) -> str:
+    """A value as written to CSV and printed: floats with 17 significant digits."""
+    return "%.17g" % v if isinstance(v, float) else str(v)
 
 
 @dataclass(frozen=True)

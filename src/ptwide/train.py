@@ -52,6 +52,7 @@ from .embedding import embed_batch
 from .errors import InvalidConfigError, NumericError
 from .helper import Helper
 from .model import ForwardState, ModelConfig, Parameters, init_params
+from .numkernel import fmt
 
 DIVERGENCE_THRESHOLD = 1e12
 # Smallest m n^2 (the multiply-adds of one step's P @ K) that runs on two row
@@ -278,9 +279,9 @@ def trace_to_csv(trace: TrainingTrace, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["step", "loss", "eta_min", "test_error"])
         for i, step in enumerate(trace.steps):
-            eta = "%.17g" % trace.eta_min[i] if trace.eta_min else ""
-            te = "%.17g" % trace.test_errors[i] if trace.test_errors else ""
-            writer.writerow([step, "%.17g" % trace.losses[i], eta, te])
+            eta = fmt(trace.eta_min[i]) if trace.eta_min else ""
+            te = fmt(trace.test_errors[i]) if trace.test_errors else ""
+            writer.writerow([step, fmt(trace.losses[i]), eta, te])
 
 
 def snapshots_to_npz(trace: TrainingTrace, path) -> None:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ from ptwide.activations import LINEAR
 from ptwide.cli import main as cli_main
 from ptwide.embedding import EmbeddingSpec
 from ptwide.errors import InvalidConfigError
-from ptwide.harness import (PRESETS, SUMMARY_COLUMNS, ExperimentConfig,
-                            parse_experiment_config, rate_fit, run_experiment,
-                            run_single)
+from ptwide.harness import (PRESETS, SUMMARY_COLUMNS, ConcentrationConfig, DatasetConfig,
+                            ExperimentConfig, GramConfig, parse_experiment_config, rate_fit,
+                            run_experiment, run_single)
 from ptwide.harness import test_error as eval_error
 from ptwide.model import OURS, ModelConfig, Parameters
 from ptwide.embedding import EmbeddingWeights
@@ -194,6 +195,10 @@ class TestRunExperiment:
         assert len(lines) == 1 + 3 * small_cfg.m
 
 
+VERB_SCHEMAS = {"gen-data": DatasetConfig, "gram": GramConfig,
+                "concentration": ConcentrationConfig}
+
+
 class TestCli:
     def _write(self, path, payload):
         path.write_text(json.dumps(payload))
@@ -252,9 +257,12 @@ class TestCli:
         ("gram", {"seed": -1}),
         ("gen-data", {"n": 10.5}),
         ("gram", {"mc_samples": True}),
+        ("gram", {"embedding": "deep_random", "depth": 2, "mc_samples": 2000}),
+        ("gram", {"D": 64, "mc_samples": 2000}),
     ], ids=["gram-mc_samples-type", "concentration-mc_samples-type",
             "concentration-missing-D_list", "gram-leaky-slope", "gram-negative-seed",
-            "gen-data-fractional-n", "gram-bool-mc_samples"])
+            "gen-data-fractional-n", "gram-bool-mc_samples", "gram-mc_samples-with-embedding",
+            "gram-mc_samples-with-D"])
     def test_bad_gram_and_concentration_config_exits_2(self, tmp_path, capsys,
                                                        verb, payload):
         cfg = self._write(tmp_path / "bad.json",
@@ -271,10 +279,14 @@ class TestCli:
         {"delta": True}, {"c_hat": False}, {"delta": float("nan")},
         {"c_hat": float("inf")}, {"delta": "-inf"}, {"scalings": []},
         {"scalings": ["ours", "bogus"]}, {"output_dir": "runs"},
+        {"scalings": ["ours", "mf"]}, {"m": 7, "scalings": ["ours", "ntk"]},
+        {"n_list": [4, -1]}, {"seeds": [1, -1]},
     ], ids=["m-type", "seeds-not-list", "delta-type", "snapshot-steps-type",
             "n_list-fractional", "m-fractional", "seeds-bool", "steps-fractional",
             "delta-bool", "c_hat-bool", "delta-nan", "c_hat-inf", "delta-minus-inf-string",
-            "scalings-empty", "scalings-unknown-second", "output_dir-not-a-key"])
+            "scalings-empty", "scalings-unknown-second", "output_dir-not-a-key",
+            "mf-second-with-D-not-m", "ntk-second-with-odd-m", "n_list-negative-second",
+            "seeds-negative-second"])
     def test_bad_experiment_config_exits_2(self, tmp_path, capsys, verb, payload):
         cfg = self._write(tmp_path / "bad.json",
                           {"experiment": "exp1", "d": 6, "n_list": [4], "m": 8,
@@ -284,6 +296,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
         assert not (tmp_path / "o").exists()  # rejected before any cell ran
+
+    @pytest.mark.parametrize("verb, key", [(verb, f.name) for verb, cls in VERB_SCHEMAS.items()
+                                           for f in fields(cls)])
+    def test_every_key_rejects_a_value_of_the_wrong_type(self, tmp_path, capsys, verb, key):
+        # A string key gets a list, any other key a boolean; each is one error line.
+        kind = {f.name: f.type for f in fields(VERB_SCHEMAS[verb])}[key]
+        payload = {"dataset": "wei", "n": 10, "d": 3}
+        if verb == "concentration":
+            payload["D_list"] = [16, 32]
+        payload[key] = ["wei"] if "str" in kind else True
+        cfg = self._write(tmp_path / "bad.json", payload)
+        rc = cli_main([verb, "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert f"config key {key!r}" in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("verb", ["train", "experiment", "gram", "concentration",
                                       "gen-data"])

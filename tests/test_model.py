@@ -4,7 +4,7 @@ import pytest
 from ptwide.activations import LINEAR, RELU, TANH
 from ptwide.embedding import EmbeddingSpec, EmbeddingWeights
 from ptwide.errors import InvalidConfigError
-from ptwide.model import (MF, NTK, OURS, ModelConfig, Parameters, forward,
+from ptwide.model import (MF, NTK, OURS, ModelConfig, Parameters, ScalingVariant, forward,
                           get_scaling, init_params)
 from ptwide.train import TrainConfig, run_training
 
@@ -24,6 +24,21 @@ class TestScalings:
         assert (OURS.output_exponent, OURS.hidden_exponent, OURS.lr_exponent) == (1.0, 0.5, 1.0)
         assert (NTK.output_exponent, NTK.hidden_exponent, NTK.lr_exponent) == (0.5, 0.5, 0.0)
         assert (MF.output_exponent, MF.hidden_exponent, MF.lr_exponent) == (1.0, 1.0, 2.0)
+
+    def test_init_and_width_rules_follow_the_fields_not_the_name(self):
+        assert (OURS.paired_init, NTK.paired_init, MF.paired_init) == (False, True, False)
+        assert (OURS.tied_width, NTK.tied_width, MF.tied_width) == (False, False, True)
+        paired = ScalingVariant("paired", 1.0, 0.5, 1.0, paired_init=True)
+        with pytest.raises(InvalidConfigError):
+            ModelConfig(embedding=_identity_spec(2), activation=TANH, scaling=paired, m=3)
+        cfg = ModelConfig(embedding=_identity_spec(3), activation=TANH, scaling=paired,
+                          m=8, seed=1)
+        X = np.random.default_rng(0).standard_normal((4, 3))
+        assert np.all(forward(cfg, init_params(cfg), X).f == 0.0)
+        tied = ScalingVariant("tied", 1.0, 0.5, 1.0, tied_width=True)
+        with pytest.raises(InvalidConfigError):
+            ModelConfig(embedding=_identity_spec(2), activation=TANH, scaling=tied, m=4)
+        ModelConfig(embedding=_identity_spec(4), activation=TANH, scaling=tied, m=4)
 
     def test_lookup(self):
         assert get_scaling("ours") is OURS
