@@ -80,9 +80,9 @@ def cmd_gram(args) -> int:
     if cfg.mc_samples:
         report = gram_limit_mc(activation, data.X, cfg.mc_samples, cfg.embedding_seed)
     else:
-        spec = harness.embedding_spec(cfg.embedding or "identity", cfg.d,
-                                      cfg.d if cfg.D is None else cfg.D, cfg.depth or 0,
-                                      activation, cfg.embedding_seed)
+        spec = harness.embedding_spec(cfg.embedding or "identity", cfg.d, cfg.D,
+                                      cfg.depth or 0, activation, cfg.embedding_seed,
+                                      default_D=cfg.d)
         report = gram(spec, build_embedding(spec), data.X)
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "gram.json")

@@ -31,6 +31,15 @@ _KIND_BY_EMBEDDING = {
     "deep_random": "deep",
 }
 
+# Bytes that gram_limit_mc's two (rows, d) draw buffers and its (rows, n)
+# activation buffer share when no chunk is given, so that its memory is set
+# by the shapes and not by a row count. At 8 MiB (17 476 rows at n = d = 20)
+# the benchmark's gram_mc run read a few percent slower than with 100 000
+# rows; at 16 MiB it did not. Each chunk has at least MC_MIN_ROWS rows, so
+# that wide data still draws in runs long enough to pipeline.
+MC_CHUNK_BYTES = 16 * 2**20
+MC_MIN_ROWS = 256
+
 
 @dataclass(frozen=True)
 class GramReport:
@@ -85,7 +94,7 @@ def gram(spec: EmbeddingSpec, weights: EmbeddingWeights, X: np.ndarray) -> GramR
 
 
 def gram_limit_mc(activation: ActivationSpec, X: np.ndarray, samples: int,
-                  seed: int, chunk: int = 100_000) -> GramReport:
+                  seed: int, chunk: int | None = None) -> GramReport:
     """Monte-Carlo estimate of the infinite-width Gram limit.
 
     Averages sigma(z.x_a/sqrt(d)) sigma(z.x_b/sqrt(d)) over i.i.d. standard
@@ -94,13 +103,19 @@ def gram_limit_mc(activation: ActivationSpec, X: np.ndarray, samples: int,
     A standard-error matrix is attached to the report.
 
     The draws go into two (chunk, d) buffers in turn and A into one (chunk,
-    n) buffer, so memory is O(chunk (2d + n) + n^2) for any sample count.
+    n) buffer. Without a ``chunk``, the rows are chosen so that these three
+    share MC_CHUNK_BYTES (16 MiB: 34 952 rows at n = d = 20, 6 990 at n = 200,
+    d = 50), with a floor of MC_MIN_ROWS rows; memory is then that budget
+    plus O(n^2) for any sample count. The draws are the same stream in the
+    same order whatever the chunk; only the grouping of the sums, and so
+    the last bits of G, depends on it.
+
     While the helper thread (``ptwide.helper``) accumulates one chunk, the
     caller draws the next into the other buffer. A single chunk has
     nothing to overlap and starts no helper; then, as on a machine without
     a helper, the chunks are accumulated on the caller. The draws, the
-    chunks and the
-    order of the sums are the same either way, and so are the bits.
+    chunks and the order of the sums are the same either way, and so are
+    the bits.
     """
     if samples < 1000:
         raise InvalidConfigError("gram_limit_mc requires samples >= 1000")
@@ -109,6 +124,8 @@ def gram_limit_mc(activation: ActivationSpec, X: np.ndarray, samples: int,
     gen = RngStream(seed, "gram-mc").generator()
     s1 = np.zeros((n, n))
     s2 = np.zeros((n, n))
+    if chunk is None:
+        chunk = max(MC_MIN_ROWS, MC_CHUNK_BYTES // (8 * (2 * d + n)))
     rows = min(chunk, samples)
     draws = (np.empty((rows, d)), np.empty((rows, d)))
     projected = np.empty((rows, n))

@@ -230,12 +230,20 @@ def generate(kind: str, n: int, d: int, seed: int, split: str,
     raise InvalidConfigError(f"unknown dataset kind {kind!r}")
 
 
-def embedding_spec(kind: str, d: int, D: int, depth: int, activation,
-                   seed: int) -> EmbeddingSpec:
-    """The ``kind`` embedding of R^d. ``D`` sizes the random kinds only:
-    identity has D = d and quadratic D = d^2."""
-    D = {"identity": d, "quadratic": d * d}.get(kind, D)
-    return EmbeddingSpec(kind=kind, d=d, D=D, depth=depth, activation=activation, seed=seed)
+def embedding_spec(kind: str, d: int, D: int | None, depth: int, activation,
+                   seed: int, default_D: int) -> EmbeddingSpec:
+    """The ``kind`` embedding of R^d. ``D`` (None: ``default_D``) sizes the
+    random kinds only: identity has D = d and quadratic D = d^2. ``depth`` is
+    deep_random's alone. A D given to a fixed-D kind, or a nonzero depth
+    given to another kind, is rejected rather than ignored."""
+    fixed_D = {"identity": d, "quadratic": d * d}
+    if kind in fixed_D and D is not None:
+        raise InvalidConfigError(f"the {kind} embedding takes no D (its D is {fixed_D[kind]})")
+    spec = EmbeddingSpec(kind=kind, d=d, D=fixed_D.get(kind, default_D if D is None else D),
+                         depth=depth, activation=activation, seed=seed)
+    if depth and kind != "deep_random":
+        raise InvalidConfigError(f"the {kind} embedding takes no depth (deep_random only)")
+    return spec
 
 
 @dataclass
@@ -247,8 +255,8 @@ class RunResult:
 def _cell(cfg: ExperimentConfig, scaling_name: str, n: int, seed: int):
     """One cell's model and train configs and data, drawing no weights."""
     activation = get_activation(cfg.activation)
-    spec = embedding_spec(cfg.embedding, cfg.d, cfg.m if cfg.D is None else cfg.D,
-                          cfg.depth, activation, seed)
+    spec = embedding_spec(cfg.embedding, cfg.d, cfg.D, cfg.depth, activation, seed,
+                          default_D=cfg.m)
     model_cfg = ModelConfig(embedding=spec, activation=activation, m=cfg.m, c_hat=cfg.c_hat,
                             scaling=get_scaling(scaling_name), seed=seed)
     snaps = cfg.snapshot_steps

@@ -7,12 +7,15 @@ bases, and a cross-check against the explicit forward/grad/step path is
 part of the test suite. W itself is reconstructed at the end from the
 accumulated per-neuron signals.
 
-Each step works in m x n buffers allocated once per run: sigma'(H) is
-scaled in place by the residual and by c into the signal P, one GEMM
-writes P @ K into a buffer, H and the signal sum Pacc are updated in
-place, and one activation pass writes the next step's sigma(H) and
-sigma'(H) together. The arithmetic is the same, in the same order, as
-building P and P @ K as fresh arrays.
+Each step works in four m x n buffers allocated once per run: H, the
+signal sum Pacc, sigma(H) and sigma'(H). sigma'(H) is scaled in place by
+the residual and by c into the signal P, one GEMM writes P @ K into the
+sigma(H) buffer (dead once the step's output f is formed), H and Pacc are
+updated in place, and one activation pass writes the next step's sigma(H)
+and sigma'(H) together. The arithmetic is the same, in the same order, as
+building P and P @ K as fresh arrays. The step and test-set buffers are
+released before the (m, D) final W is built, so that W does not add to
+the loop's peak memory.
 
 A neuron's row of H changes only through the residual r, so the rows
 split into independent blocks within a step. When the step product is
@@ -76,6 +79,10 @@ class TrainConfig:
             raise InvalidConfigError("delta must be positive")
         if self.record_every < 1:
             raise InvalidConfigError("record_every must be >= 1")
+        outside = [s for s in self.snapshot_steps if not 0 <= s <= self.steps]
+        if outside:
+            raise InvalidConfigError(f"snapshot_steps {outside} lie outside "
+                                     f"[0, steps = {self.steps}]")
 
 
 @dataclass
@@ -156,7 +163,8 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
     delta = train_config.delta
 
     Phi = embed_batch(config.embedding, params.embedding_weights, X)      # (n, D)
-    H = alpha * (params.W @ Phi.T)                                        # (m, n)
+    H = params.W @ Phi.T                                                  # (m, n)
+    H *= alpha
     # Kernel of the H-space recursion: H <- H - P (lam d beta a^2 Phi Phi^T)
     Kmat = (lam * delta * beta * alpha * alpha) * (Phi @ Phi.T)
     c = params.c
@@ -165,7 +173,8 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
     test_blocks = []
     if has_test:
         Phi_t = embed_batch(config.embedding, params.embedding_weights, test_X)
-        H_test0 = alpha * (params.W @ Phi_t.T)
+        H_test0 = params.W @ Phi_t.T
+        H_test0 *= alpha
         Ktest = (lam * delta * beta * alpha * alpha) * (Phi @ Phi_t.T)
         del Phi_t
         if test_metric is None:
@@ -187,21 +196,22 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
 
     trace = TrainingTrace(c_hat=params.c_hat)
     Pacc = np.zeros_like(H)
-    sig, P, PK = np.empty_like(H), np.empty_like(H), np.empty_like(H)
+    sig, P = np.empty_like(H), np.empty_like(H)
     prev_loss = None
     snapshot_set = set(train_config.snapshot_steps)
 
     bounds = (0, m // 2, m) if m * n * n >= TWO_BLOCK_MIN_MN2 else (0, m)
-    blocks = [(H[lo:hi], sig[lo:hi], P[lo:hi], PK[lo:hi], Pacc[lo:hi], c[lo:hi, None])
+    blocks = [(H[lo:hi], sig[lo:hi], P[lo:hi], Pacc[lo:hi], c[lo:hi, None])
               for lo, hi in zip(bounds, bounds[1:])]
 
     def advance(block, r: np.ndarray) -> None:
-        """This step's update of one row block, then its next sigma, sigma'."""
-        H_b, sig_b, P_b, PK_b, Pacc_b, c_b = block
+        """This step's update of one row block, then its next sigma, sigma'.
+        sig_b holds P @ K until value_and_deriv writes the next sigma."""
+        H_b, sig_b, P_b, Pacc_b, c_b = block
         P_b *= r
         P_b *= c_b
-        np.matmul(P_b, Kmat, out=PK_b)
-        H_b -= PK_b
+        np.matmul(P_b, Kmat, out=sig_b)
+        H_b -= sig_b
         Pacc_b += P_b
         value_and_deriv(H_b, sig_b, P_b)
 
@@ -262,8 +272,10 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
                 break
             in_blocks(advance, blocks, r)
 
-    # W - scale * (Pacc @ Phi) in one (m, D) array: with the step buffers
-    # still live, a second (m, D) temporary would raise the peak memory.
+    # W - scale * (Pacc @ Phi) needs only Pacc and Phi: drop the step and
+    # test-set buffers (the blocks hold views of them) before the (m, D)
+    # W_final exists, and build it in one array, with no (m, D) temporary.
+    H = sig = P = blocks = test_blocks = H_t = H_test0 = Ktest = None
     W_final = Pacc @ Phi
     W_final *= lam * delta * beta * alpha
     np.subtract(params.W, W_final, out=W_final)

@@ -10,7 +10,7 @@ import pytest
 
 import ptwide.helper as helper_module
 from ptwide.activations import LINEAR, RELU, TANH, leaky_relu
-from ptwide.diagnostics import (ABS_SLACK, GramReport, active_fraction,
+from ptwide.diagnostics import (ABS_SLACK, MC_CHUNK_BYTES, GramReport, active_fraction,
                                 concentration_probe, feature_movement, gram,
                                 gram_limit_mc, lemma1_monitor, pl_monitor,
                                 shrink_interval, theory_constants)
@@ -148,6 +148,22 @@ class TestGramLimitMc:
         finally:
             tracemalloc.stop()
         assert peak < 16 * chunk * n * 8
+
+    @pytest.mark.parametrize("n, d", [(20, 20), (200, 50)])
+    def test_default_chunk_fits_the_byte_budget(self, n, d):
+        # without a chunk, the draw and activation buffers share the budget at
+        # any shape; the rest is O(n^2), and a longer run needs no more
+        X = np.random.default_rng(17).standard_normal((n, d))
+        peaks = []
+        for samples in (40_000, 80_000):
+            tracemalloc.start()
+            try:
+                gram_limit_mc(TANH, X, samples, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= MC_CHUNK_BYTES + 10 * n * n * 8 + 2 ** 16
+        assert abs(peaks[0] - peaks[1]) <= 2 ** 16
 
     @staticmethod
     def _patch_machine(monkeypatch, cpus, blas_threads):

@@ -259,10 +259,18 @@ class TestCli:
         ("gram", {"mc_samples": True}),
         ("gram", {"embedding": "deep_random", "depth": 2, "mc_samples": 2000}),
         ("gram", {"D": 64, "mc_samples": 2000}),
+        ("gram", {"embedding": "identity", "D": 999, "depth": 7}),
+        ("gram", {"embedding": "identity", "D": 3}),
+        ("gram", {"embedding": "quadratic", "D": 9}),
+        ("gram", {"D": 64}),
+        ("gram", {"embedding": "random_feature", "D": 64, "depth": 3}),
+        ("gram", {"depth": 3}),
     ], ids=["gram-mc_samples-type", "concentration-mc_samples-type",
             "concentration-missing-D_list", "gram-leaky-slope", "gram-negative-seed",
             "gen-data-fractional-n", "gram-bool-mc_samples", "gram-mc_samples-with-embedding",
-            "gram-mc_samples-with-D"])
+            "gram-mc_samples-with-D", "gram-identity-with-D-and-depth",
+            "gram-identity-with-its-own-D", "gram-quadratic-with-D", "gram-default-with-D",
+            "gram-random_feature-with-depth", "gram-default-with-depth"])
     def test_bad_gram_and_concentration_config_exits_2(self, tmp_path, capsys,
                                                        verb, payload):
         cfg = self._write(tmp_path / "bad.json",
@@ -271,6 +279,7 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("verb", ["experiment", "train"])
     @pytest.mark.parametrize("payload", [
@@ -281,12 +290,18 @@ class TestCli:
         {"scalings": ["ours", "bogus"]}, {"output_dir": "runs"},
         {"scalings": ["ours", "mf"]}, {"m": 7, "scalings": ["ours", "ntk"]},
         {"n_list": [4, -1]}, {"seeds": [1, -1]},
+        {"D": 6}, {"depth": 3}, {"experiment": "exp2", "d": 3, "D": 9},
+        {"experiment": "exp3", "d": 3, "depth": 4},
+        {"snapshot_steps": [0, 500, -3]}, {"snapshot_steps": [6]},
+        {"snapshot_steps": [-1]},
     ], ids=["m-type", "seeds-not-list", "delta-type", "snapshot-steps-type",
             "n_list-fractional", "m-fractional", "seeds-bool", "steps-fractional",
             "delta-bool", "c_hat-bool", "delta-nan", "c_hat-inf", "delta-minus-inf-string",
             "scalings-empty", "scalings-unknown-second", "output_dir-not-a-key",
             "mf-second-with-D-not-m", "ntk-second-with-odd-m", "n_list-negative-second",
-            "seeds-negative-second"])
+            "seeds-negative-second", "identity-with-D", "identity-with-depth",
+            "quadratic-with-D", "random_feature-with-depth", "snapshot-steps-outside",
+            "snapshot-step-past-steps", "snapshot-step-negative"])
     def test_bad_experiment_config_exits_2(self, tmp_path, capsys, verb, payload):
         cfg = self._write(tmp_path / "bad.json",
                           {"experiment": "exp1", "d": 6, "n_list": [4], "m": 8,

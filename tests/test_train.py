@@ -2,6 +2,7 @@ import dataclasses
 import math
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -320,6 +321,33 @@ class TestRunTraining:
             f = forward(cfg, params, test_X).f
             assert error == pytest.approx(np.mean((f - test_y) ** 2), rel=1e-9)
 
+    @pytest.mark.parametrize("kind, D", [("random_feature", 512), ("identity", 8)])
+    def test_peak_memory_is_the_live_arrays(self, kind, D):
+        # two row blocks and two test column blocks; the peak is the larger of
+        # the loop's arrays and those left when the (m, D) final W is built,
+        # not their sum, and the loop has four m x n step buffers, not five
+        m, n, n_test, d, f8 = 2048, 64, 128, 8, 8
+        assert m * n * n >= TWO_BLOCK_MIN_MN2 and m * n * n_test >= TWO_BLOCK_MIN_MN2
+        spec = EmbeddingSpec(kind=kind, d=d, D=D, activation=TANH, seed=3)
+        cfg = ModelConfig(embedding=spec, activation=TANH, scaling=OURS, m=m, seed=3)
+        rng = np.random.default_rng(5)
+        X, y = rng.standard_normal((n, d)), rng.standard_normal(n)
+        test_X, test_y = rng.standard_normal((n_test, d)), rng.standard_normal(n_test)
+        params = init_params(cfg)
+        tc = TrainConfig(steps=3, delta=0.1, snapshot_steps=(0, 3))
+        tracemalloc.start()
+        try:
+            run_training(cfg, tc, X, y, test_X=test_X, test_y=test_y, init=params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        snapshots, Phi = 2 * m * n * f8, n * D * f8
+        # H, Pacc, sigma, sigma'; H_test0, H_t; Kmat, Ktest
+        loop = 4 * m * n * f8 + 2 * m * n_test * f8 + (n * n + n * n_test) * f8
+        # Pacc and the final W
+        final = m * n * f8 + m * D * f8
+        assert peak <= snapshots + Phi + max(loop, final) + 2 ** 17
+
     def test_helper_thread_does_not_outlive_the_run(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(helper_module, "_blas_threads", lambda: 1)
@@ -480,3 +508,8 @@ class TestRunTraining:
             TrainConfig(steps=1, delta=0.0)
         with pytest.raises(InvalidConfigError):
             TrainConfig(steps=1, record_every=0)
+        # a snapshot step the loop never reaches would be dropped without a word
+        for snapshot_steps in ((0, 11), (-1, 5), (0, 500, -3)):
+            with pytest.raises(InvalidConfigError, match="outside"):
+                TrainConfig(steps=10, snapshot_steps=snapshot_steps)
+        TrainConfig(steps=10, snapshot_steps=(0, 10))
