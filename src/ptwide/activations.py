@@ -115,10 +115,13 @@ def leaky_relu(slope: float) -> ActivationSpec:
 
     def fn(u, out=None):
         u = np.asarray(u, dtype=np.float64)
-        # The mask is taken before out is written, since out may be u.
-        scaled = ~(u > 0)
-        out = np.multiply(u, slope, out=out, where=scaled)
-        np.copyto(out, u, where=~scaled)
+        # One mask, taken before out is written (out may be u) and inverted
+        # in place: first the entries to scale, then the entries to copy.
+        mask = np.greater(u, 0)
+        np.logical_not(mask, out=mask)
+        out = np.multiply(u, slope, out=out, where=mask)
+        np.logical_not(mask, out=mask)
+        np.copyto(out, u, where=mask)
         return out
 
     def deriv(u):

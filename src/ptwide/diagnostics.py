@@ -15,7 +15,7 @@ import numpy as np
 
 from .activations import ActivationSpec
 from .embedding import EmbeddingSpec, EmbeddingWeights, build_embedding, embed_batch
-from .errors import InvalidConfigError, StructuralError
+from .errors import InvalidConfigError
 from .helper import Helper
 from .model import ModelConfig, Parameters, forward
 from .numkernel import RngStream, sym_eig_extremes
@@ -282,9 +282,3 @@ def pl_monitor(config: ModelConfig, params: Parameters, X: np.ndarray,
     passed = (exact <= bound + slack) and (bound <= slack)
     return PLReport(exact_dldt=exact, bound=bound, passed=passed)
 
-
-def feature_movement(H_a: np.ndarray, H_b: np.ndarray) -> np.ndarray:
-    """Columnwise mean absolute pre-activation difference (1/m) sum_i |dh_i|."""
-    if H_a.shape != H_b.shape:
-        raise StructuralError(f"shape mismatch: {H_a.shape} vs {H_b.shape}")
-    return np.abs(H_a - H_b).mean(axis=0)

@@ -177,8 +177,11 @@ def parse_experiment_config(raw) -> ExperimentConfig:
         raw = {**PRESETS[experiment], **raw}
     cfg = parse(ExperimentConfig, raw)
     for key in ("n_list", "seeds", "scalings"):
-        if not getattr(cfg, key):
+        values = getattr(cfg, key)
+        if not values:
             raise InvalidConfigError(f"{key} must be non-empty")
+        if len(set(values)) != len(values):
+            raise InvalidConfigError(f"{key} repeats a value: {values}")
     for name in cfg.scalings:
         get_scaling(name)
     if cfg.experiment == "exp3" and cfg.D not in (None, cfg.m):

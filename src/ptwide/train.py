@@ -3,9 +3,9 @@
 ``run_training`` evolves the pre-activation matrix H directly through the
 n x n kernel matrix of the (fixed) embedding instead of re-multiplying
 W by Phi every step; the two are the same recursion written in different
-bases, and a cross-check against the explicit forward/grad/step path is
-part of the test suite. W itself is reconstructed at the end from the
-accumulated per-neuron signals.
+bases. The explicit forward / grad_W / gd_step path is the test oracle,
+kept in ``tests/oracle.py`` and not in the library. W itself is
+reconstructed at the end from the accumulated per-neuron signals.
 
 Each step works in four m x n buffers allocated once per run: H, the
 signal sum Pacc, sigma(H) and sigma'(H). sigma'(H) is scaled in place by
@@ -52,9 +52,9 @@ import numpy as np
 
 from .diagnostics import active_fraction, shrink_interval
 from .embedding import embed_batch
-from .errors import InvalidConfigError, NumericError
+from .errors import InvalidConfigError
 from .helper import Helper
-from .model import ForwardState, ModelConfig, Parameters, init_params
+from .model import ModelConfig, Parameters, init_params
 from .numkernel import fmt
 
 DIVERGENCE_THRESHOLD = 1e12
@@ -100,36 +100,6 @@ class TrainingTrace:
     final_params: Parameters | None = None
 
 
-def loss(f_vals: np.ndarray, y: np.ndarray) -> float:
-    """Empirical squared loss 1/2 sum (f_a - y_a)^2."""
-    r = np.asarray(f_vals, dtype=np.float64) - np.asarray(y, dtype=np.float64)
-    return 0.5 * float(r @ r)
-
-
-def grad_W(config: ModelConfig, params: Parameters, X: np.ndarray,
-           y: np.ndarray, state: ForwardState) -> np.ndarray:
-    """Gradient of the loss with respect to W at the given forward state."""
-    r = state.f - np.asarray(y, dtype=np.float64)
-    Phi = embed_batch(config.embedding, params.embedding_weights, X)
-    pref = (config.m ** (-config.scaling.output_exponent)
-            * config.D ** (-config.scaling.hidden_exponent))
-    P = params.c[:, None] * config.activation.deriv(state.H) * r[None, :]
-    grad = pref * (P @ Phi)
-    if not np.all(np.isfinite(grad)):
-        raise NumericError("non-finite gradient")
-    return grad
-
-
-def gd_step(config: ModelConfig, params: Parameters, grad: np.ndarray,
-            delta: float) -> Parameters:
-    """One update W <- W - m^lr * delta * grad; c and embedding untouched."""
-    if grad.shape != params.W.shape:
-        raise InvalidConfigError(f"grad shape {grad.shape} != W shape {params.W.shape}")
-    step = config.m ** config.scaling.lr_exponent * delta
-    return Parameters(W=params.W - step * grad, c=params.c,
-                      embedding_weights=params.embedding_weights, c_hat=params.c_hat)
-
-
 def run_training(config: ModelConfig, train_config: TrainConfig,
                  X: np.ndarray, y: np.ndarray,
                  test_X: np.ndarray | None = None,
@@ -166,7 +136,8 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
     H = params.W @ Phi.T                                                  # (m, n)
     H *= alpha
     # Kernel of the H-space recursion: H <- H - P (lam d beta a^2 Phi Phi^T)
-    Kmat = (lam * delta * beta * alpha * alpha) * (Phi @ Phi.T)
+    k_scale = lam * delta * beta * alpha * alpha
+    Kmat = k_scale * (Phi @ Phi.T)
     c = params.c
     n = H.shape[1]
 
@@ -175,7 +146,7 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
         Phi_t = embed_batch(config.embedding, params.embedding_weights, test_X)
         H_test0 = params.W @ Phi_t.T
         H_test0 *= alpha
-        Ktest = (lam * delta * beta * alpha * alpha) * (Phi @ Phi_t.T)
+        Ktest = k_scale * (Phi @ Phi_t.T)
         del Phi_t
         if test_metric is None:
             test_metric = lambda f, t: float(np.mean((f - t) ** 2))
@@ -192,7 +163,7 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
     if has_probe:
         Phi_p = embed_batch(config.embedding, params.embedding_weights, probe_X)
         H_probe0 = alpha * (params.W @ Phi_p.T)
-        Kprobe = (lam * delta * beta * alpha * alpha) * (Phi @ Phi_p.T)
+        Kprobe = k_scale * (Phi @ Phi_p.T)
 
     trace = TrainingTrace(c_hat=params.c_hat)
     Pacc = np.zeros_like(H)

@@ -13,20 +13,16 @@ import pytest
 
 from conftest import report
 from ptwide.activations import LINEAR, RELU, TANH
-from ptwide.diagnostics import (concentration_probe, feature_movement, gram,
-                                gram_limit_mc, lemma1_monitor, pl_monitor,
-                                theory_constants)
+from ptwide.diagnostics import (concentration_probe, gram, gram_limit_mc,
+                                lemma1_monitor, pl_monitor, theory_constants)
 from ptwide.embedding import EmbeddingSpec, build_embedding
 from ptwide.harness import parse_experiment_config, rate_fit, run_experiment
 from ptwide.harness import test_error as eval_error
 from ptwide.model import (MF, NTK, OURS, ModelConfig, Parameters, forward,
                           init_params)
-from ptwide.train import TrainConfig, gd_step, grad_W, loss, run_training
+from ptwide.train import TrainConfig, run_training
 from ptwide.datasets import gen_random_label, gen_wei
-
-
-def _identity_spec(d):
-    return EmbeddingSpec(kind="identity", d=d, D=d)
+from oracle import _identity_spec, feature_movement, grad_W, loss
 
 
 # --- shared training runs -------------------------------------------------

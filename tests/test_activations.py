@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -53,3 +55,19 @@ def test_leaky_relu_fn_matches_where_form():
         want = np.where(H > 0, H, slope * H)
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("into", ["u", "fresh"])
+def test_leaky_relu_fn_holds_one_mask(into):
+    # at most one u.size-byte bool mask lives at a time (plus a few KiB of
+    # ufunc bookkeeping); a fresh result array is not counted
+    u = np.random.default_rng(7).standard_normal((1000, 200))
+    tracemalloc.start()
+    try:
+        result = leaky_relu(0.1).fn(u, out=u if into == "u" else None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if into == "fresh":
+        peak -= result.nbytes
+    assert peak <= u.size + 2 ** 12

@@ -11,18 +11,15 @@ import pytest
 import ptwide.helper as helper_module
 from ptwide.activations import LINEAR, RELU, TANH, leaky_relu
 from ptwide.diagnostics import (ABS_SLACK, MC_CHUNK_BYTES, GramReport, active_fraction,
-                                concentration_probe, feature_movement, gram,
-                                gram_limit_mc, lemma1_monitor, pl_monitor,
-                                shrink_interval, theory_constants)
+                                concentration_probe, gram, gram_limit_mc,
+                                lemma1_monitor, pl_monitor, shrink_interval,
+                                theory_constants)
 from ptwide.embedding import EmbeddingSpec, EmbeddingWeights, build_embedding
 from ptwide.errors import InvalidConfigError, StructuralError
-from ptwide.model import NTK, OURS, ModelConfig, Parameters, forward, init_params
+from ptwide.model import NTK, OURS, ModelConfig, forward, init_params
 from ptwide.numkernel import RngStream
 from ptwide.train import TrainConfig, run_training
-
-
-def _identity_spec(d):
-    return EmbeddingSpec(kind="identity", d=d, D=d)
+from oracle import _identity_spec, feature_movement, gd_step, grad_W, loss
 
 
 class TestGram:
@@ -403,7 +400,6 @@ class TestPlMonitor:
     def test_exact_matches_euler_difference(self):
         # exact_dldt is dL/dt under gradient flow; a tiny GD step with the
         # ours scaling integrates it, so (L1 - L0) / delta matches to O(delta)
-        from ptwide.train import gd_step, grad_W, loss
         cfg, params, X, y, rep = self._setup(4, seed=3)
         out = pl_monitor(cfg, params, X, y, rep)
         state = forward(cfg, params, X, y)

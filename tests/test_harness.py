@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -230,6 +231,25 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "o" / "summary.csv").exists()
 
+    def test_exp2_quadratic_teacher(self, tmp_path, capsys):
+        # the exp2 preset end to end: quadratic teacher, quadratic embedding
+        cfg = self._write(tmp_path / "exp2.json",
+                          {"experiment": "exp2", "d": 3, "n_list": [6], "m": 8,
+                           "seeds": [1], "scalings": ["ours", "ntk"], "steps": 20,
+                           "record_every": 5, "n_test": 5})
+        out = tmp_path / "o"
+        rc = cli_main(["experiment", "--config", cfg, "--out", str(out)])
+        assert rc == 0
+        with open(out / "summary.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["scaling"] for r in rows] == ["ours", "ntk"]
+        for row in rows:
+            with open(out / f"trace_exp2_{row['scaling']}_n6_m8_s1.csv") as fh:
+                first = next(csv.DictReader(fh))
+            assert first["step"] == "0"
+            final = float(row["final_loss"])
+            assert math.isfinite(final) and final < float(first["loss"])
+
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         cfg = self._write(tmp_path / "bad.json",
                           {"dataset": "wei", "n": 5, "d": 3, "bogus": 1})
@@ -293,7 +313,8 @@ class TestCli:
         {"D": 6}, {"depth": 3}, {"experiment": "exp2", "d": 3, "D": 9},
         {"experiment": "exp3", "d": 3, "depth": 4},
         {"snapshot_steps": [0, 500, -3]}, {"snapshot_steps": [6]},
-        {"snapshot_steps": [-1]},
+        {"snapshot_steps": [-1]}, {"n_list": [6, 6]}, {"seeds": [1, 2, 1]},
+        {"scalings": ["ours", "ntk", "ours"]},
     ], ids=["m-type", "seeds-not-list", "delta-type", "snapshot-steps-type",
             "n_list-fractional", "m-fractional", "seeds-bool", "steps-fractional",
             "delta-bool", "c_hat-bool", "delta-nan", "c_hat-inf", "delta-minus-inf-string",
@@ -301,7 +322,8 @@ class TestCli:
             "mf-second-with-D-not-m", "ntk-second-with-odd-m", "n_list-negative-second",
             "seeds-negative-second", "identity-with-D", "identity-with-depth",
             "quadratic-with-D", "random_feature-with-depth", "snapshot-steps-outside",
-            "snapshot-step-past-steps", "snapshot-step-negative"])
+            "snapshot-step-past-steps", "snapshot-step-negative", "n_list-repeated",
+            "seeds-repeated", "scalings-repeated"])
     def test_bad_experiment_config_exits_2(self, tmp_path, capsys, verb, payload):
         cfg = self._write(tmp_path / "bad.json",
                           {"experiment": "exp1", "d": 6, "n_list": [4], "m": 8,

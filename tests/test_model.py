@@ -2,21 +2,11 @@ import numpy as np
 import pytest
 
 from ptwide.activations import LINEAR, RELU, TANH
-from ptwide.embedding import EmbeddingSpec, EmbeddingWeights
 from ptwide.errors import InvalidConfigError
 from ptwide.model import (MF, NTK, OURS, ModelConfig, Parameters, ScalingVariant, forward,
                           get_scaling, init_params)
 from ptwide.train import TrainConfig, run_training
-
-
-def _identity_spec(d):
-    return EmbeddingSpec(kind="identity", d=d, D=d)
-
-
-def _manual_params(W, c, c_hat=1.0):
-    return Parameters(W=np.asarray(W, dtype=np.float64),
-                      c=np.asarray(c, dtype=np.float64),
-                      embedding_weights=EmbeddingWeights(), c_hat=c_hat)
+from oracle import _identity_spec, _manual_params
 
 
 class TestScalings:

@@ -10,23 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptwide.activations import LINEAR, RELU, TANH, leaky_relu
-from ptwide.embedding import EmbeddingSpec, EmbeddingWeights, embed_batch
+from ptwide.embedding import EmbeddingSpec, embed_batch
 from ptwide.errors import InvalidConfigError
-from ptwide.model import (MF, NTK, OURS, ModelConfig, Parameters, forward,
-                          init_params)
+from ptwide.model import MF, NTK, OURS, ModelConfig, forward, init_params
 import ptwide.helper as helper_module
-from ptwide.train import (TWO_BLOCK_MIN_MN2, TrainConfig, gd_step, grad_W, loss,
-                          run_training, trace_to_csv)
-
-
-def _identity_spec(d):
-    return EmbeddingSpec(kind="identity", d=d, D=d)
-
-
-def _manual_params(W, c, c_hat=1.0):
-    return Parameters(W=np.asarray(W, dtype=np.float64),
-                      c=np.asarray(c, dtype=np.float64),
-                      embedding_weights=EmbeddingWeights(), c_hat=c_hat)
+from ptwide.train import TWO_BLOCK_MIN_MN2, TrainConfig, run_training, trace_to_csv
+from oracle import (_check_kernel_path_against_explicit, _check_kernel_path_on,
+                    _identity_spec, _manual_params, gd_step, grad_W, loss)
 
 
 def _kahan_half_sum_squares(r):
@@ -37,37 +27,6 @@ def _kahan_half_sum_squares(r):
         comp = (t - total) - term
         total = t
     return 0.5 * total
-
-
-def _check_kernel_path_against_explicit(activation, scaling, m, n, D, delta):
-    spec = EmbeddingSpec(kind="random_feature", d=3, D=D, activation=TANH, seed=2)
-    cfg = ModelConfig(embedding=spec, activation=activation, scaling=scaling,
-                      m=m, seed=5)
-    rng = np.random.default_rng(8)
-    _check_kernel_path_on(cfg, rng.standard_normal((n, 3)), rng.standard_normal(n), delta)
-
-
-def _check_kernel_path_on(cfg, X, y, delta):
-    # the H-space recursion must agree with literally recomputing
-    # forward / grad_W / gd_step every step
-    steps = 30
-
-    trace = run_training(cfg, TrainConfig(steps=steps, delta=delta,
-                                          record_eta=False), X, y)
-    assert not trace.diverged
-
-    params = init_params(cfg)
-    explicit_losses = []
-    for _ in range(steps):
-        state = forward(cfg, params, X, y)
-        explicit_losses.append(0.5 * float(state.residual @ state.residual))
-        params = gd_step(cfg, params, grad_W(cfg, params, X, y, state), delta)
-    explicit_losses.append(loss(forward(cfg, params, X).f, y))
-
-    np.testing.assert_allclose(trace.losses, explicit_losses,
-                               rtol=1e-9, atol=1e-12)
-    np.testing.assert_allclose(trace.final_params.W, params.W,
-                               rtol=1e-9, atol=1e-12)
 
 
 def _two_block_problem(activation):
