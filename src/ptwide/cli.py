@@ -3,8 +3,8 @@
 Verbs: train, experiment, gram, concentration, gen-data. Each takes a JSON
 config via --config and an output directory via --out; --seed overrides the
 config seed(s). Exit code is 0 iff all inequality monitors pass (or
---no-strict is given), 1 if one fails, and 2 on a bad config. Floats are
-printed with 17 significant digits.
+train/experiment get --no-strict), 1 if one fails, and 2 on a bad config.
+Floats are printed with 17 significant digits.
 """
 
 from __future__ import annotations
@@ -128,7 +128,8 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True)
         p.add_argument("--out", default="out")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--no-strict", action="store_true")
+        if verb in ("train", "experiment"):  # the verbs that run monitors
+            p.add_argument("--no-strict", action="store_true")
     args = parser.parse_args(argv)
     try:
         return handlers[args.verb](args)

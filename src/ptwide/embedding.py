@@ -16,6 +16,8 @@ from .errors import InvalidConfigError, StructuralError
 from .numkernel import RngStream, gaussian_matrix
 
 KINDS = ("identity", "quadratic", "random_feature", "deep_random")
+# The width D of each kind that fixes it, as a function of d; the random kinds take any D.
+FIXED_D = {"identity": lambda d: d, "quadratic": lambda d: d * d}
 
 
 @dataclass(frozen=True)
@@ -32,12 +34,13 @@ class EmbeddingSpec:
             raise InvalidConfigError(f"unknown embedding kind {self.kind!r}")
         if self.d < 1 or self.D < 1:
             raise InvalidConfigError("dimensions must be >= 1")
-        if self.kind == "identity" and self.D != self.d:
-            raise InvalidConfigError("identity embedding requires D == d")
-        if self.kind == "quadratic" and self.D != self.d * self.d:
-            raise InvalidConfigError("quadratic embedding requires D == d^2")
+        if self.kind in FIXED_D and self.D != FIXED_D[self.kind](self.d):
+            raise InvalidConfigError(f"{self.kind} embedding of d = {self.d} requires "
+                                     f"D == {FIXED_D[self.kind](self.d)}, not {self.D}")
         if self.kind == "deep_random" and self.depth < 3:
             raise InvalidConfigError("deep_random embedding requires depth >= 3")
+        if self.kind != "deep_random" and self.depth:
+            raise InvalidConfigError(f"{self.kind} embedding takes no depth (deep_random only)")
         if self.kind in ("random_feature", "deep_random") and self.activation is None:
             raise InvalidConfigError(f"{self.kind} embedding requires an activation")
 

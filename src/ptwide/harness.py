@@ -13,6 +13,7 @@ import itertools
 import json
 import math
 import os
+import typing
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from . import datasets
 from .activations import get_activation
 from .diagnostics import gram, lemma1_monitor, pl_monitor, theory_constants
-from .embedding import EmbeddingSpec
+from .embedding import FIXED_D, EmbeddingSpec
 from .errors import InvalidConfigError
 from .model import ModelConfig, get_scaling, init_params
 from .numkernel import fmt
@@ -34,17 +35,18 @@ RATE_FLOOR = 1e-8
 
 def parse(cls, raw):
     """The dataclass ``cls`` from the JSON object ``raw``, each key read with the
-    cast on its field; any fault is an InvalidConfigError (exit 2)."""
+    cast of its field's annotation; any fault is an InvalidConfigError (exit 2)."""
     if not isinstance(raw, dict):
         raise InvalidConfigError(f"config must be a JSON object, not {type(raw).__name__}")
     unknown = set(raw) - {f.name for f in fields(cls)}
     if unknown:
         raise InvalidConfigError(f"unknown config keys: {sorted(unknown)}")
+    hints = typing.get_type_hints(cls)
     values = {}
     for f in fields(cls):
         if f.name in raw:
             try:
-                values[f.name] = f.metadata["cast"](raw[f.name])
+                values[f.name] = cast_for(hints[f.name])(raw[f.name])
             except (TypeError, ValueError):
                 raise InvalidConfigError(f"config key {f.name!r} has an invalid value "
                                          f"{raw[f.name]!r}") from None
@@ -88,24 +90,27 @@ def list_of(cast):
     return convert
 
 
-def _optional(cast):
-    return lambda value: None if value is None else cast(value)
-
-
-def _key(cast, **default):
-    """A config key read with ``cast``; ``default`` is ``field``'s default(_factory)."""
-    return field(metadata={"cast": cast}, **default)
+def cast_for(hint):
+    """The cast for a config field annotated ``hint``: ``str``, ``int``, ``float``,
+    ``list[T]``, or ``T | None``, under which null means the key was not given."""
+    args = typing.get_args(hint)
+    if type(None) in args:
+        cast = cast_for(*(a for a in args if a is not type(None)))
+        return lambda value: None if value is None else cast(value)
+    if typing.get_origin(hint) is list:
+        return list_of(cast_for(*args))
+    return {str: text, int: integer, float: real}[hint]
 
 
 @dataclass
 class DatasetConfig:
     """``gen-data``: one split of a dataset."""
-    dataset: str = _key(text)
-    n: int = _key(integer)
-    d: int = _key(integer)
-    seed: int = _key(integer, default=0)
-    split: str = _key(text, default="train")
-    teacher_seed: int = _key(integer, default=999)
+    dataset: str
+    n: int
+    d: int
+    seed: int = 0
+    split: str = "train"
+    teacher_seed: int = 999
 
 
 @dataclass(kw_only=True)
@@ -113,12 +118,12 @@ class GramConfig(DatasetConfig):
     """``gram``: an embedding's Gram spectrum, or with ``mc_samples`` a Monte-Carlo
     estimate of its infinite-width limit, drawn from ``embedding_seed``, which
     has no ``embedding``, ``D`` or ``depth`` (None: identity, d and 0)."""
-    activation: str = _key(text, default="relu")
-    embedding: str | None = _key(text, default=None)
-    D: int | None = _key(integer, default=None)
-    depth: int | None = _key(integer, default=None)
-    embedding_seed: int = _key(integer, default=0)
-    mc_samples: int = _key(integer, default=0)
+    activation: str = "relu"
+    embedding: str | None = None
+    D: int | None = None
+    depth: int | None = None
+    embedding_seed: int = 0
+    mc_samples: int = 0
 
     def __post_init__(self):
         if self.mc_samples and (self.embedding, self.D, self.depth) != (None, None, None):
@@ -128,10 +133,10 @@ class GramConfig(DatasetConfig):
 @dataclass(kw_only=True)
 class ConcentrationConfig(DatasetConfig):
     """``concentration``: random-feature Grams against a Monte-Carlo limit."""
-    D_list: list[int] = _key(list_of(integer))
-    activation: str = _key(text, default="relu")
-    trials: int = _key(integer, default=5)
-    mc_samples: int = _key(integer, default=1_000_000)
+    D_list: list[int]
+    activation: str = "relu"
+    trials: int = 5
+    mc_samples: int = 1_000_000
 
 
 # Each experiment's defaults for the keys that have none on ExperimentConfig.
@@ -148,24 +153,24 @@ PRESETS = {
 class ExperimentConfig:
     """``train`` and ``experiment``: a (scalings x n_list x seeds) grid. A key with
     no default on its field or in its experiment's row of PRESETS is required."""
-    n_list: list[int] = _key(list_of(integer))
-    seeds: list[int] = _key(list_of(integer))
-    dataset: str = _key(text)
-    embedding: str = _key(text)
-    activation: str = _key(text)
-    d: int = _key(integer)
-    experiment: str = _key(text, default="custom")
-    scalings: list[str] = _key(list_of(text), default_factory=lambda: ["ours"])
-    m: int = _key(integer, default=1024)
-    D: int | None = _key(_optional(integer), default=None)
-    depth: int = _key(integer, default=0)
-    c_hat: float = _key(real, default=1.0)
-    steps: int = _key(integer, default=1000)
-    delta: float = _key(real, default=1.0)
-    record_every: int = _key(integer, default=10)
-    snapshot_steps: list[int] | None = _key(_optional(list_of(integer)), default=None)
-    n_test: int = _key(integer, default=500)
-    teacher_seed: int = _key(integer, default=999)
+    n_list: list[int]
+    seeds: list[int]
+    dataset: str
+    embedding: str
+    activation: str
+    d: int
+    experiment: str = "custom"
+    scalings: list[str] = field(default_factory=lambda: ["ours"])
+    m: int = 1024
+    D: int | None = None
+    depth: int = 0
+    c_hat: float = 1.0
+    steps: int = 1000
+    delta: float = 1.0
+    record_every: int = 10
+    snapshot_steps: list[int] | None = None
+    n_test: int = 500
+    teacher_seed: int = 999
 
 
 def parse_experiment_config(raw) -> ExperimentConfig:
@@ -194,7 +199,7 @@ def rate_fit(steps, losses) -> tuple[float, float]:
     window from step 0 up to the first loss below 1e-8 or not positive."""
     w_steps, w_losses = [], []
     for s, lv in zip(steps, losses):
-        if lv <= 0 or lv < RATE_FLOOR:
+        if lv < RATE_FLOOR:
             break
         w_steps.append(s)
         w_losses.append(lv)
@@ -235,18 +240,12 @@ def generate(kind: str, n: int, d: int, seed: int, split: str,
 
 def embedding_spec(kind: str, d: int, D: int | None, depth: int, activation,
                    seed: int, default_D: int) -> EmbeddingSpec:
-    """The ``kind`` embedding of R^d. ``D`` (None: ``default_D``) sizes the
-    random kinds only: identity has D = d and quadratic D = d^2. ``depth`` is
-    deep_random's alone. A D given to a fixed-D kind, or a nonzero depth
-    given to another kind, is rejected rather than ignored."""
-    fixed_D = {"identity": d, "quadratic": d * d}
-    if kind in fixed_D and D is not None:
-        raise InvalidConfigError(f"the {kind} embedding takes no D (its D is {fixed_D[kind]})")
-    spec = EmbeddingSpec(kind=kind, d=d, D=fixed_D.get(kind, default_D if D is None else D),
-                         depth=depth, activation=activation, seed=seed)
-    if depth and kind != "deep_random":
-        raise InvalidConfigError(f"the {kind} embedding takes no depth (deep_random only)")
-    return spec
+    """The ``kind`` embedding of R^d. ``D`` (None: ``default_D``) sizes the random kinds
+    only: a D given to a kind in FIXED_D is an error (EmbeddingSpec rejects a stray depth)."""
+    if kind in FIXED_D and D is not None:
+        raise InvalidConfigError(f"the {kind} embedding takes no D (its D is {FIXED_D[kind](d)})")
+    D = FIXED_D[kind](d) if kind in FIXED_D else (default_D if D is None else D)
+    return EmbeddingSpec(kind=kind, d=d, D=D, depth=depth, activation=activation, seed=seed)
 
 
 @dataclass
@@ -293,7 +292,7 @@ def run_single(cfg: ExperimentConfig, scaling_name: str, n: int, seed: int) -> R
 
     row = {"experiment": cfg.experiment, "scaling": scaling_name, "n": n,
            "m": cfg.m, "seed": seed}
-    if trace.diverged or not trace.losses:
+    if trace.diverged:
         nan = float("nan")
         row.update(final_loss=nan, test_error=nan, rate_slope=nan, rate_r2=nan,
                    lemma1_pass="na", pl_pass="na")
@@ -311,8 +310,7 @@ def run_single(cfg: ExperimentConfig, scaling_name: str, n: int, seed: int) -> R
         slope, r2 = rate_fit(trace.steps, trace.losses)
     except InvalidConfigError:
         slope, r2 = float("nan"), float("nan")
-    row.update(final_loss=trace.losses[-1],
-               test_error=trace.test_errors[-1] if trace.test_errors else float("nan"),
+    row.update(final_loss=trace.losses[-1], test_error=trace.test_errors[-1],
                rate_slope=slope, rate_r2=r2, lemma1_pass=lemma1_pass, pl_pass=pl.passed)
     return RunResult(row=row, trace=trace)
 
@@ -372,17 +370,15 @@ def _write_probe_scatter(trace: TrainingTrace, path) -> None:
 
 
 def _write_mean_curve(traces: list[TrainingTrace], path) -> None:
-    """Seed-averaged loss (and test error) at each recorded step."""
+    """Seed-averaged loss and test error at each recorded step of the cells
+    that did not diverge, which all record the same steps."""
     usable = [t for t in traces if not t.diverged]
     if not usable:
         return
-    min_len = min(len(t.steps) for t in usable)
-    steps = usable[0].steps[:min_len]
-    loss = np.mean([t.losses[:min_len] for t in usable], axis=0)
-    te = (np.mean([t.test_errors[:min_len] for t in usable], axis=0)
-          if all(t.test_errors for t in usable) else None)
+    loss = np.mean([t.losses for t in usable], axis=0)
+    te = np.mean([t.test_errors for t in usable], axis=0)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "mean_loss", "mean_test_error"])
-        for i, s in enumerate(steps):
-            writer.writerow([s, fmt(loss[i]), fmt(te[i]) if te is not None else ""])
+        for i, s in enumerate(usable[0].steps):
+            writer.writerow([s, fmt(loss[i]), fmt(te[i])])

@@ -15,7 +15,7 @@ from conftest import report
 from ptwide.activations import LINEAR, RELU, TANH
 from ptwide.diagnostics import (concentration_probe, gram, gram_limit_mc,
                                 lemma1_monitor, pl_monitor, theory_constants)
-from ptwide.embedding import EmbeddingSpec, build_embedding
+from ptwide.embedding import EmbeddingSpec
 from ptwide.harness import parse_experiment_config, rate_fit, run_experiment
 from ptwide.harness import test_error as eval_error
 from ptwide.model import (MF, NTK, OURS, ModelConfig, Parameters, forward,

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from ptwide.datasets import (Dataset, gen_quadratic_teacher, gen_random_label,
-                             gen_wei, teacher_config, to_csv)
-from ptwide.embedding import EmbeddingWeights
+from ptwide.datasets import (gen_quadratic_teacher, gen_random_label, gen_wei,
+                             teacher_config, to_csv)
 from ptwide.errors import InvalidConfigError
 from ptwide.model import forward, init_params
 

@@ -10,13 +10,13 @@ import pytest
 
 import ptwide.helper as helper_module
 from ptwide.activations import LINEAR, RELU, TANH, leaky_relu
-from ptwide.diagnostics import (ABS_SLACK, MC_CHUNK_BYTES, GramReport, active_fraction,
+from ptwide.diagnostics import (ABS_SLACK, MC_CHUNK_BYTES, active_fraction,
                                 concentration_probe, gram, gram_limit_mc,
                                 lemma1_monitor, pl_monitor, shrink_interval,
                                 theory_constants)
 from ptwide.embedding import EmbeddingSpec, EmbeddingWeights, build_embedding
 from ptwide.errors import InvalidConfigError, StructuralError
-from ptwide.model import NTK, OURS, ModelConfig, forward, init_params
+from ptwide.model import OURS, ModelConfig, forward, init_params
 from ptwide.numkernel import RngStream
 from ptwide.train import TrainConfig, run_training
 from oracle import _identity_spec, feature_movement, gd_step, grad_W, loss

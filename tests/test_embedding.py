@@ -19,6 +19,12 @@ class TestValidation:
         with pytest.raises(InvalidConfigError):
             EmbeddingSpec(kind="deep_random", d=3, D=8, depth=2, activation=RELU)
 
+    @pytest.mark.parametrize("kind, D", [("identity", 3), ("quadratic", 9),
+                                         ("random_feature", 8)])
+    def test_depth_outside_deep_random_rejected(self, kind, D):
+        with pytest.raises(InvalidConfigError):
+            EmbeddingSpec(kind=kind, d=3, D=D, depth=5, activation=RELU)
+
     def test_random_requires_activation(self):
         with pytest.raises(InvalidConfigError):
             EmbeddingSpec(kind="random_feature", d=3, D=8)

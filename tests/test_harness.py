@@ -12,11 +12,12 @@ from ptwide.cli import main as cli_main
 from ptwide.embedding import EmbeddingSpec
 from ptwide.errors import InvalidConfigError
 from ptwide.harness import (PRESETS, SUMMARY_COLUMNS, ConcentrationConfig, DatasetConfig,
-                            ExperimentConfig, GramConfig, parse_experiment_config, rate_fit,
-                            run_experiment, run_single)
+                            ExperimentConfig, GramConfig, parse, parse_experiment_config,
+                            rate_fit, run_experiment, run_single)
 from ptwide.harness import test_error as eval_error
 from ptwide.model import OURS, ModelConfig, Parameters
 from ptwide.embedding import EmbeddingWeights
+from ptwide.numkernel import fmt
 from ptwide.train import TrainConfig, run_training
 
 
@@ -79,6 +80,20 @@ class TestTestError:
         assert eval_error(f, y, "wei") == 0.5
 
 
+# A valid config of each schema, with every required key.
+SCHEMAS = {
+    DatasetConfig: {"dataset": "wei", "n": 10, "d": 3},
+    GramConfig: {"dataset": "wei", "n": 10, "d": 3},
+    ConcentrationConfig: {"dataset": "wei", "n": 10, "d": 3, "D_list": [16, 32]},
+    ExperimentConfig: {"n_list": [4], "seeds": [1], "dataset": "wei", "embedding": "identity",
+                       "activation": "relu", "d": 3},
+}
+
+# A cheap grid whose one cell fails the lemma-1 monitor and passes the PL monitor.
+LEMMA1_FAILS = {"experiment": "exp1", "d": 3, "n_list": [4], "m": 8, "seeds": [3],
+                "steps": 20, "delta": 2.0, "record_every": 1, "n_test": 5}
+
+
 class TestConfigParsing:
     def _base(self, **over):
         raw = {"experiment": "exp1", "n_list": [10], "seeds": [1],
@@ -132,6 +147,17 @@ class TestConfigParsing:
         with pytest.raises(InvalidConfigError):
             parse_experiment_config({"experiment": "custom", "n_list": [5],
                                      "seeds": [1]})
+
+    @pytest.mark.parametrize("cls, key", [(cls, f.name) for cls in SCHEMAS
+                                          for f in fields(cls)])
+    def test_null_means_not_given_exactly_where_the_annotation_admits_none(self, cls, key):
+        kind = {f.name: f.type for f in fields(cls)}[key]
+        raw = {**SCHEMAS[cls], key: None}
+        if "| None" in kind:
+            assert getattr(parse(cls, raw), key) is None
+        else:
+            with pytest.raises(InvalidConfigError, match=f"config key {key!r}"):
+                parse(cls, raw)
 
     def test_exp3_width_tying(self):
         raw = self._base(experiment="exp3", m=64, D=32)
@@ -249,6 +275,60 @@ class TestCli:
             assert first["step"] == "0"
             final = float(row["final_loss"])
             assert math.isfinite(final) and final < float(first["loss"])
+
+    @pytest.mark.parametrize("key", ["embedding", "D", "depth"])
+    def test_gram_null_key_is_not_given(self, tmp_path, capsys, key):
+        base = {"dataset": "random_label", "n": 5, "d": 4, "seed": 2}
+        outs = []
+        for payload in (base, {**base, key: None}):
+            out = tmp_path / f"o{len(outs)}"
+            cfg = self._write(tmp_path / "gram.json", payload)
+            assert cli_main(["gram", "--config", cfg, "--out", str(out)]) == 0
+            outs.append((out / "gram.json").read_bytes())
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("verb", ["experiment", "train"])
+    def test_failed_monitor_exits_1_unless_no_strict(self, tmp_path, capsys, verb):
+        cfg = self._write(tmp_path / "exp.json", LEMMA1_FAILS)
+        strict, lax = tmp_path / "strict", tmp_path / "lax"
+        assert cli_main([verb, "--config", cfg, "--out", str(strict)]) == 1
+        assert cli_main([verb, "--config", cfg, "--out", str(lax), "--no-strict"]) == 0
+        with open(strict / "summary.csv") as fh:
+            (row,) = csv.DictReader(fh)
+        assert (row["lemma1_pass"], row["pl_pass"]) == ("False", "True")
+        names = sorted(os.listdir(strict))
+        assert names == sorted(os.listdir(lax))
+        for name in names:
+            assert (strict / name).read_bytes() == (lax / name).read_bytes()
+
+    def test_train_writes_its_cell(self, tmp_path, capsys):
+        cfg = self._write(tmp_path / "exp.json", LEMMA1_FAILS)
+        out = tmp_path / "o"
+        cli_main(["train", "--config", cfg, "--out", str(out), "--no-strict"])
+        assert sorted(os.listdir(out)) == ["snapshots.npz", "summary.csv", "trace.csv"]
+        cell = run_single(parse_experiment_config(LEMMA1_FAILS), "ours", 4, 3)
+        with open(out / "summary.csv") as fh:
+            assert list(csv.reader(fh)) == [SUMMARY_COLUMNS,
+                                            [fmt(cell.row[c]) for c in SUMMARY_COLUMNS]]
+        with open(out / "trace.csv") as fh:
+            trace = list(csv.DictReader(fh))
+        assert [int(r["step"]) for r in trace] == cell.trace.steps == list(range(21))
+        assert [r["loss"] for r in trace] == [fmt(v) for v in cell.trace.losses]
+        assert [r["test_error"] for r in trace] == [fmt(v) for v in cell.trace.test_errors]
+        with np.load(out / "snapshots.npz") as snaps:
+            assert sorted(snaps.files) == ["H_0", "H_10", "H_20", "f_0", "f_10", "f_20"]
+            for step, (H, f) in cell.trace.snapshots.items():
+                np.testing.assert_array_equal(snaps[f"H_{step}"], H)
+                np.testing.assert_array_equal(snaps[f"f_{step}"], f)
+
+    @pytest.mark.parametrize("verb", ["gram", "concentration", "gen-data"])
+    def test_no_strict_only_where_monitors_run(self, tmp_path, capsys, verb):
+        cfg = self._write(tmp_path / "c.json", {"dataset": "wei", "n": 10, "d": 3})
+        with pytest.raises(SystemExit) as exc:
+            cli_main([verb, "--config", cfg, "--out", str(tmp_path / "o"), "--no-strict"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --no-strict" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         cfg = self._write(tmp_path / "bad.json",

@@ -1,5 +1,4 @@
 import dataclasses
-import math
 import os
 import threading
 import tracemalloc
@@ -176,7 +175,8 @@ class TestRunTraining:
         X *= np.sqrt(d) / np.linalg.norm(X, axis=1, keepdims=True)
         y = rng.standard_normal(n)
         for activation in (TANH, RELU, LINEAR, leaky_relu(0.3)):
-            spec = EmbeddingSpec(kind=kind, d=d, D=D, depth=depth,
+            spec = EmbeddingSpec(kind=kind, d=d, D=D,
+                                 depth=depth if kind == "deep_random" else 0,
                                  activation=activation, seed=seed)
             cfg = ModelConfig(embedding=spec, activation=activation, scaling=scaling,
                               m=m, seed=seed)
