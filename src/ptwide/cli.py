@@ -5,11 +5,19 @@ config via --config and an output directory via --out; --seed overrides the
 config seed(s). Exit code is 0 iff all inequality monitors pass (or
 train/experiment get --no-strict), 1 if one fails, and 2 on a bad config.
 Floats are printed with 17 significant digits.
+
+Under glibc, ``main`` fixes malloc's mmap threshold at its documented
+default of 128 KiB. Left dynamic, glibc raises the threshold to the size of
+each large block that is freed (up to 32 MiB), so that from the second grid
+cell on the (m, n) arrays come from the heap, and the holes they leave stay
+resident: a grid's peak RSS then depends on its allocation history and not
+on its arrays. Library callers keep their allocator as it is.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
@@ -118,6 +126,21 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
+M_MMAP_THRESHOLD = -3      # mallopt's parameter number in glibc's malloc.h
+MMAP_THRESHOLD = 128 * 1024
+
+
+def _pin_mmap_threshold() -> None:
+    """Fix glibc's mmap threshold, which turns its dynamic adjustment off;
+    without glibc's ``mallopt`` (another C library) do nothing."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="ptwide")
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -131,6 +154,7 @@ def main(argv=None) -> int:
         if verb in ("train", "experiment"):  # the verbs that run monitors
             p.add_argument("--no-strict", action="store_true")
     args = parser.parse_args(argv)
+    _pin_mmap_threshold()
     try:
         return handlers[args.verb](args)
     except PtwideError as exc:

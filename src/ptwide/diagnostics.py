@@ -40,6 +40,9 @@ _KIND_BY_EMBEDDING = {
 MC_CHUNK_BYTES = 16 * 2**20
 MC_MIN_ROWS = 256
 
+# Largest temporary of active_fraction, which runs at every record step.
+ACTIVE_CHUNK_BYTES = 2 ** 16
+
 
 @dataclass(frozen=True)
 class GramReport:
@@ -165,8 +168,9 @@ def concentration_probe(activation: ActivationSpec, X: np.ndarray,
     For each D, draws fresh random-feature weights ``trials`` times and
     measures ||G - G_limit||_2 against a high-sample MC reference.
     """
-    if sorted(D_list) != list(D_list):
-        raise InvalidConfigError("D_list must be ascending")
+    if not D_list or D_list[0] < 1 or any(a >= b for a, b in zip(D_list, D_list[1:])):
+        raise InvalidConfigError(f"D_list must be a non-empty, strictly ascending list "
+                                 f"of widths >= 1, not {list(D_list)}")
     if trials < 3:
         raise InvalidConfigError("trials must be >= 3")
     X = np.asarray(X, dtype=np.float64)
@@ -197,13 +201,32 @@ def shrink_interval(interval: tuple[float, float]) -> tuple[float, float]:
 def active_fraction(H: np.ndarray, interval: tuple[float, float]) -> tuple[np.ndarray, float]:
     """Per-data-point fraction of neurons with pre-activation inside interval.
 
-    Returns the n-vector of fractions and its minimum over data points.
+    Returns the n-vector of fractions and its minimum over data points. The
+    neurons inside, those above lo less those at or above hi, are counted a
+    chunk of H at a time, so that no temporary is larger than
+    ACTIVE_CHUNK_BYTES; the counts divided by m are the same bits as the
+    mean over the rows of the (m, n) indicator.
     """
     lo, hi = interval
     if lo >= hi:
         raise InvalidConfigError(f"interval must satisfy I_l < I_r, got {interval}")
-    inside = (H > lo) & (H < hi)
-    per_a = inside.mean(axis=0)
+    m, n = H.shape
+    width = min(n, ACTIVE_CHUNK_BYTES // 2)     # columns of one uint16 partial count
+    rows = (ACTIVE_CHUNK_BYTES - 1) // width    # < 2**16, so a partial count fits
+    mask = np.empty(min(rows, m) * width, dtype=bool)
+    partial = np.empty(width, dtype=np.uint16)
+    counts = np.zeros(n, dtype=np.int64)
+    for j in range(0, n, width):
+        k = min(j + width, n)
+        for i in range(0, m, rows):
+            block = H[i:i + rows, j:k]
+            mask_b = mask[:block.size].reshape(block.shape)
+            count = partial[:k - j]
+            np.greater(block, lo, out=mask_b)
+            counts[j:k] += np.add.reduce(mask_b, axis=0, out=count)
+            np.greater_equal(block, hi, out=mask_b)
+            counts[j:k] -= np.add.reduce(mask_b, axis=0, out=count)
+    per_a = counts / m
     return per_a, float(per_a.min())
 
 

@@ -68,7 +68,8 @@ def build_embedding(spec: EmbeddingSpec) -> EmbeddingWeights:
 
 
 def embed_batch(spec: EmbeddingSpec, weights: EmbeddingWeights, X: np.ndarray) -> np.ndarray:
-    """Embed a batch of inputs: (n, d) -> (n, D)."""
+    """Embed a batch of inputs: (n, d) -> (n, D). The random kinds scale and
+    apply sigma in place, so each layer makes one (n, D) array."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != spec.d:
         raise StructuralError(f"expected (n, {spec.d}) inputs, got shape {X.shape}")
@@ -79,9 +80,9 @@ def embed_batch(spec: EmbeddingSpec, weights: EmbeddingWeights, X: np.ndarray) -
         # vec(x x^T), row-major
         return np.einsum("ai,aj->aij", X, X).reshape(n, spec.d * spec.d)
     sigma = spec.activation.fn
-    H = X @ weights.z.T / np.sqrt(spec.d)  # (n, D)
-    if spec.kind == "random_feature":
-        return sigma(H)
+    H = X @ weights.z.T  # (n, D)
+    H /= np.sqrt(spec.d)
     for Wbar in weights.deep_layers:
-        H = sigma(H) @ Wbar.T / np.sqrt(spec.D)
-    return sigma(H)
+        H = sigma(H, out=H) @ Wbar.T
+        H /= np.sqrt(spec.D)
+    return sigma(H, out=H)

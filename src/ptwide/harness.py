@@ -289,6 +289,7 @@ def run_single(cfg: ExperimentConfig, scaling_name: str, n: int, seed: int) -> R
     trace = run_training(model_cfg, tc, train_data.X, train_data.y,
                          test_X=test_data.X, test_y=test_data.y,
                          test_metric=metric, init=params, probe_X=probe)
+    del params  # the initial (m, D) W; pl_monitor needs only the final one
 
     row = {"experiment": cfg.experiment, "scaling": scaling_name, "n": n,
            "m": cfg.m, "seed": seed}

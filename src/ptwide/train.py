@@ -13,9 +13,7 @@ the residual and by c into the signal P, one GEMM writes P @ K into the
 sigma(H) buffer (dead once the step's output f is formed), H and Pacc are
 updated in place, and one activation pass writes the next step's sigma(H)
 and sigma'(H) together. The arithmetic is the same, in the same order, as
-building P and P @ K as fresh arrays. The step and test-set buffers are
-released before the (m, D) final W is built, so that W does not add to
-the loop's peak memory.
+building P and P @ K as fresh arrays.
 
 A neuron's row of H changes only through the residual r, so the rows
 split into independent blocks within a step. When the step product is
@@ -26,20 +24,28 @@ splits by columns instead: each test point's H_t column and output f_t
 depend on its own column of Ktest alone, and under OpenBLAS a product
 split by rows changed in the last bit while one split by columns at a
 multiple of 8 (and not much past the middle) matched the whole product
-bit for bit. So when m n n_test >= 2**23, the columns of H_t and Ktest
-split at 8 (n_test // 16) and the second block runs on the helper; both
-blocks end before the step's update touches Pacc. Everything else that
-mixes rows or columns stays whole on the calling thread: f = beta c @
-sigma(H), the loss and its checks, the test metric, the active
-fractions and snapshots.
+bit for bit. So when m n n_test >= 2**23, the test columns split at
+8 (n_test // 16) and the second half runs on the helper; both halves end
+before the step's update touches Pacc. Everything else that mixes rows or
+columns stays whole on the calling thread: f = beta c @ sigma(H), the
+loss and its checks, the test metric, the active fractions and snapshots.
 
 The second block of each split goes to the helper of ``ptwide.helper``,
 whose thread starts only when some split exists, the process may run on
 two CPUs and BLAS runs one thread. Without the thread the second block runs
 on the caller, just before the first; the blocks share no output, so
-results do not depend on the CPU or BLAS thread count. The test blocks
-apply sigma in place, in H_t, so a record step allocates no (m, n_test)
-temporary.
+results do not depend on the CPU or BLAS thread count.
+
+Memory is the live arrays of the loop and no more. Each test half is
+evaluated TEST_TILE columns at a time, from H_test0 and Ktest, through one
+(m, TEST_TILE) buffer per half that holds a tile's H_t and then sigma(H_t)
+in place (the last, narrower tile uses a prefix of it), so there is no
+(m, n_test) H_t and a record step allocates no (m, n) or (m, n_test)
+array. The tile width changes no bits: every tile starts at a multiple of
+8. Phi (n, D) is dropped once the kernels exist and embedded again for the
+final W, and the snapshot of the final step keeps H itself, not a copy.
+The step and test-set buffers are released before the (m, D) final W is
+built, so that W does not add to the loop's peak memory.
 """
 
 from __future__ import annotations
@@ -62,6 +68,9 @@ DIVERGENCE_THRESHOLD = 1e12
 # blocks: about 0.4 ms of GEMM at one BLAS thread, against a fork/join of a
 # few tens of microseconds. The test evaluation's m n n_test uses it too.
 TWO_BLOCK_MIN_MN2 = 2 ** 23
+# Columns of the test set evaluated at a time, through one (m, TEST_TILE)
+# buffer per column half: a multiple of 8, so that every tile starts at one.
+TEST_TILE = 64
 
 
 @dataclass(frozen=True)
@@ -150,13 +159,12 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
         del Phi_t
         if test_metric is None:
             test_metric = lambda f, t: float(np.mean((f - t) ** 2))
-        H_t = np.empty_like(H_test0)
-        n_test = H_t.shape[1]
+        n_test = H_test0.shape[1]
         f_t = np.empty(n_test)
         split = 8 * (n_test // 16)     # a multiple of 8 at or below the middle
         cols = ((0, split, n_test) if split and m * n * n_test >= TWO_BLOCK_MIN_MN2
                 else (0, n_test))
-        test_blocks = [(H_t[:, lo:hi], H_test0[:, lo:hi], Ktest[:, lo:hi], f_t[lo:hi])
+        test_blocks = [(lo, hi, np.empty(m * min(TEST_TILE, hi - lo)))
                        for lo, hi in zip(cols, cols[1:])]
 
     has_probe = probe_X is not None
@@ -164,6 +172,7 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
         Phi_p = embed_batch(config.embedding, params.embedding_weights, probe_X)
         H_probe0 = alpha * (params.W @ Phi_p.T)
         Kprobe = k_scale * (Phi @ Phi_p.T)
+    del Phi     # embedded again for the final W
 
     trace = TrainingTrace(c_hat=params.c_hat)
     Pacc = np.zeros_like(H)
@@ -187,14 +196,18 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
         value_and_deriv(H_b, sig_b, P_b)
 
     def evaluate(block, step: int) -> None:
-        """One column block of the test set's H_t and outputs f_t."""
-        H_t_b, H_test0_b, Ktest_b, f_t_b = block
-        if step == 0:
-            H_t_b[...] = H_test0_b
-        else:
-            np.matmul(Pacc, Ktest_b, out=H_t_b)
-            np.subtract(H_test0_b, H_t_b, out=H_t_b)
-        f_t_b[...] = beta * (c @ sigma(H_t_b, out=H_t_b))
+        """One column half of the test outputs f_t, a tile at a time: the
+        tile's H_t, then sigma(H_t), in a prefix of the half's buffer."""
+        lo, hi, buf = block
+        for a in range(lo, hi, TEST_TILE):
+            b = min(a + TEST_TILE, hi)
+            H_t = buf[:m * (b - a)].reshape(m, b - a)
+            if step == 0:
+                H_t[...] = H_test0[:, a:b]
+            else:
+                np.matmul(Pacc, Ktest[:, a:b], out=H_t)
+                np.subtract(H_test0[:, a:b], H_t, out=H_t)
+            f_t[a:b] = beta * (c @ sigma(H_t, out=H_t))
 
     def record(step: int, f: np.ndarray, lval: float) -> None:
         trace.steps.append(step)
@@ -207,7 +220,9 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
             trace.test_errors.append(test_metric(f_t, test_y))
 
     def snapshot(step: int, f: np.ndarray) -> None:
-        trace.snapshots[step] = (H.copy(), f.copy())
+        # The loop ends at the final step, so its snapshot may keep H itself.
+        final = step == train_config.steps
+        trace.snapshots[step] = (H if final else H.copy(), f.copy())
         if has_probe:
             H_p = H_probe0 if step == 0 else H_probe0 - Pacc @ Kprobe
             trace.probe_snapshots[step] = H_p
@@ -244,9 +259,11 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
             in_blocks(advance, blocks, r)
 
     # W - scale * (Pacc @ Phi) needs only Pacc and Phi: drop the step and
-    # test-set buffers (the blocks hold views of them) before the (m, D)
-    # W_final exists, and build it in one array, with no (m, D) temporary.
-    H = sig = P = blocks = test_blocks = H_t = H_test0 = Ktest = None
+    # test-set buffers (the step blocks hold views of them) before Phi and
+    # the (m, D) W_final exist, and build W_final in one array, with no
+    # (m, D) temporary.
+    H = sig = P = blocks = test_blocks = H_test0 = Ktest = None
+    Phi = embed_batch(config.embedding, params.embedding_weights, X)
     W_final = Pacc @ Phi
     W_final *= lam * delta * beta * alpha
     np.subtract(params.W, W_final, out=W_final)

@@ -63,6 +63,15 @@ def feature_movement(H_a: np.ndarray, H_b: np.ndarray) -> np.ndarray:
     return np.abs(H_a - H_b).mean(axis=0)
 
 
+def active_fraction(H: np.ndarray, interval: tuple[float, float]) -> tuple[np.ndarray, float]:
+    """The per-data-point fraction of neurons inside the open interval, in one
+    shot over the whole (m, n) indicator, and its minimum."""
+    lo, hi = interval
+    inside = (H > lo) & (H < hi)
+    per_a = inside.mean(axis=0)
+    return per_a, float(per_a.min())
+
+
 def _check_kernel_path_against_explicit(activation, scaling, m, n, D, delta):
     spec = EmbeddingSpec(kind="random_feature", d=3, D=D, activation=TANH, seed=2)
     cfg = ModelConfig(embedding=spec, activation=activation, scaling=scaling,

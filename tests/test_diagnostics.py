@@ -8,10 +8,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import ptwide.diagnostics as diagnostics_module
 import ptwide.helper as helper_module
 from ptwide.activations import LINEAR, RELU, TANH, leaky_relu
-from ptwide.diagnostics import (ABS_SLACK, MC_CHUNK_BYTES, active_fraction,
-                                concentration_probe, gram, gram_limit_mc,
+from ptwide.diagnostics import (ABS_SLACK, ACTIVE_CHUNK_BYTES, MC_CHUNK_BYTES,
+                                active_fraction, concentration_probe, gram, gram_limit_mc,
                                 lemma1_monitor, pl_monitor, shrink_interval,
                                 theory_constants)
 from ptwide.embedding import EmbeddingSpec, EmbeddingWeights, build_embedding
@@ -20,6 +21,7 @@ from ptwide.model import OURS, ModelConfig, forward, init_params
 from ptwide.numkernel import RngStream
 from ptwide.train import TrainConfig, run_training
 from oracle import _identity_spec, feature_movement, gd_step, grad_W, loss
+from oracle import active_fraction as oracle_active_fraction
 
 
 class TestGram:
@@ -261,6 +263,16 @@ class TestConcentrationProbe:
         with pytest.raises(InvalidConfigError):
             concentration_probe(RELU, X, [32, 64], trials=2, seed=0)
 
+    @pytest.mark.parametrize("D_list", [[], [64, 64], [0, 5], [-3], [32, 16]],
+                             ids=["empty", "repeated", "zero", "negative", "descending"])
+    def test_D_list_checked_before_the_draw(self, monkeypatch, D_list):
+        def draw(*args, **kwargs):
+            raise AssertionError("the Monte-Carlo limit was drawn")
+
+        monkeypatch.setattr(diagnostics_module, "gram_limit_mc", draw)
+        with pytest.raises(InvalidConfigError, match="D_list"):
+            concentration_probe(RELU, np.ones((2, 2)), D_list, trials=3, seed=0)
+
     def test_deviation_shrinks_with_width(self):
         X = np.random.default_rng(10).standard_normal((6, 6))
         ref = gram_limit_mc(RELU, X, 200_000, seed=1)
@@ -293,6 +305,38 @@ class TestActiveFraction:
     def test_bad_interval(self):
         with pytest.raises(InvalidConfigError):
             active_fraction(np.zeros((2, 2)), (1.0, -1.0))
+
+    @pytest.mark.parametrize("shape", [(1000, 200), (3, 2**16 + 5), (2**16 + 3, 2), (1, 1)],
+                             ids=["rows-not-a-chunk-multiple", "n-above-2^16",
+                                  "m-above-2^16", "one-entry"])
+    @pytest.mark.parametrize("interval", [(0.0, 3.0), (-1.0, 1.0), (-0.0, 0.5)])
+    def test_matches_the_one_shot_formula(self, shape, interval):
+        # the chunked counts are the same bits as the mean of the whole
+        # indicator, with entries exactly at lo and hi, and +0.0 and -0.0
+        rng = np.random.default_rng(15)
+        H = rng.choice([0.0, -0.0, 3.0, -1.0, 1.0, 0.5, np.nan], size=shape)
+        H[::2] += rng.standard_normal(H[::2].shape)
+        per_a, mn = active_fraction(H, interval)
+        want, want_mn = oracle_active_fraction(H, interval)
+        assert np.array_equal(per_a, want) and mn == want_mn
+
+    def test_all_inside_over_2_16_rows(self):
+        # a chunk's count of 2**16 - 1 rows may not wrap
+        per_a, mn = active_fraction(np.full((2**16 + 1, 1), 0.5), (0.0, 1.0))
+        assert per_a[0] == 1.0 and mn == 1.0
+
+    def test_temporaries_are_bounded(self):
+        m, n = 4096, 200
+        H = np.random.default_rng(16).standard_normal((m, n))
+        tracemalloc.start()
+        try:
+            active_fraction(H, (0.0, 3.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one boolean chunk, the n counts and the n fractions, and numpy's
+        # casting buffer, but no (m, n) temporary
+        assert peak <= ACTIVE_CHUNK_BYTES + 3 * 8 * n + 2**15
 
 
 class TestShrinkInterval:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -139,3 +141,21 @@ class TestDeepRandom:
             H = np.tanh(H) @ Wbar.T / np.sqrt(5)
         np.testing.assert_array_equal(
             embed_batch(spec, weights, X), np.tanh(H))
+
+
+@pytest.mark.parametrize("kind, depth, arrays", [("random_feature", 0, 1), ("deep_random", 4, 2)])
+def test_embed_batch_makes_one_array_per_layer(kind, depth, arrays):
+    # the scaling and sigma run in place: one (n, D) array, and a deep layer
+    # adds only its product, not the three of X @ z.T, its division and sigma
+    n, d, D = 500, 50, 1024
+    spec = EmbeddingSpec(kind=kind, d=d, D=D, depth=depth, activation=RELU, seed=1)
+    weights = build_embedding(spec)
+    X = np.random.default_rng(2).standard_normal((n, d))
+    tracemalloc.start()
+    try:
+        Phi = embed_batch(spec, weights, X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert Phi.shape == (n, D)
+    assert peak <= arrays * n * D * 8 + 2**16

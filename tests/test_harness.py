@@ -1,12 +1,16 @@
 import csv
+import ctypes
 import json
 import math
 import os
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import ptwide
 from ptwide.activations import LINEAR
 from ptwide.cli import main as cli_main
 from ptwide.embedding import EmbeddingSpec
@@ -19,6 +23,13 @@ from ptwide.model import OURS, ModelConfig, Parameters
 from ptwide.embedding import EmbeddingWeights
 from ptwide.numkernel import fmt
 from ptwide.train import TrainConfig, run_training
+
+
+def _has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):     # no handle on the process's own symbols
+        return False
 
 
 class TestRateFit:
@@ -321,6 +332,29 @@ class TestCli:
                 np.testing.assert_array_equal(snaps[f"H_{step}"], H)
                 np.testing.assert_array_equal(snaps[f"f_{step}"], f)
 
+    @pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+    def test_grid_peak_is_its_largest_cell(self, tmp_path):
+        # under the CLI's fixed mmap threshold, a second cell of the same
+        # shape adds (almost) nothing to the peak RSS: freed (m, n) and
+        # (m, n_test) arrays go back to the system, not to heap holes
+        src = os.path.dirname(os.path.dirname(ptwide.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        script = ("import resource, sys\n"
+                  "from ptwide.cli import main\n"
+                  "main(sys.argv[1:])\n"
+                  "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+        peaks = []
+        for scalings in (["ours"], ["ours", "ntk"]):
+            cfg = self._write(tmp_path / "grid.json",
+                              {"experiment": "exp3", "n_list": [200], "m": 1024,
+                               "seeds": [1], "scalings": scalings, "steps": 10,
+                               "record_every": 10, "n_test": 500})
+            done = subprocess.run([sys.executable, "-c", script, "experiment", "--config",
+                                   cfg, "--out", str(tmp_path / "o"), "--no-strict"],
+                                  env=env, capture_output=True, text=True, check=True)
+            peaks.append(int(done.stdout.split()[-1]))         # KiB on Linux
+        assert peaks[1] <= peaks[0] + 2 * 1024
+
     @pytest.mark.parametrize("verb", ["gram", "concentration", "gen-data"])
     def test_no_strict_only_where_monitors_run(self, tmp_path, capsys, verb):
         cfg = self._write(tmp_path / "c.json", {"dataset": "wei", "n": 10, "d": 3})
@@ -365,12 +399,17 @@ class TestCli:
         ("gram", {"D": 64}),
         ("gram", {"embedding": "random_feature", "D": 64, "depth": 3}),
         ("gram", {"depth": 3}),
+        ("concentration", {"D_list": []}),
+        ("concentration", {"D_list": [64, 64]}),
+        ("concentration", {"D_list": [0, 5]}),
     ], ids=["gram-mc_samples-type", "concentration-mc_samples-type",
             "concentration-missing-D_list", "gram-leaky-slope", "gram-negative-seed",
             "gen-data-fractional-n", "gram-bool-mc_samples", "gram-mc_samples-with-embedding",
             "gram-mc_samples-with-D", "gram-identity-with-D-and-depth",
             "gram-identity-with-its-own-D", "gram-quadratic-with-D", "gram-default-with-D",
-            "gram-random_feature-with-depth", "gram-default-with-depth"])
+            "gram-random_feature-with-depth", "gram-default-with-depth",
+            "concentration-D_list-empty", "concentration-D_list-repeated",
+            "concentration-D_list-zero"])
     def test_bad_gram_and_concentration_config_exits_2(self, tmp_path, capsys,
                                                        verb, payload):
         cfg = self._write(tmp_path / "bad.json",

@@ -9,11 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptwide.activations import LINEAR, RELU, TANH, leaky_relu
+from ptwide.diagnostics import ACTIVE_CHUNK_BYTES
 from ptwide.embedding import EmbeddingSpec, embed_batch
 from ptwide.errors import InvalidConfigError
 from ptwide.model import MF, NTK, OURS, ModelConfig, forward, init_params
 import ptwide.helper as helper_module
-from ptwide.train import TWO_BLOCK_MIN_MN2, TrainConfig, run_training, trace_to_csv
+import ptwide.train as train_module
+from ptwide.train import (TEST_TILE, TWO_BLOCK_MIN_MN2, TrainConfig, run_training,
+                          trace_to_csv)
 from oracle import (_check_kernel_path_against_explicit, _check_kernel_path_on,
                     _identity_spec, _manual_params, gd_step, grad_W, loss)
 
@@ -282,11 +285,15 @@ class TestRunTraining:
 
     @pytest.mark.parametrize("kind, D", [("random_feature", 512), ("identity", 8)])
     def test_peak_memory_is_the_live_arrays(self, kind, D):
-        # two row blocks and two test column blocks; the peak is the larger of
-        # the loop's arrays and those left when the (m, D) final W is built,
-        # not their sum, and the loop has four m x n step buffers, not five
-        m, n, n_test, d, f8 = 2048, 64, 128, 8, 8
+        # two row blocks and two test column halves of three full tiles and a
+        # narrow one each; the peak is the larger of the loop's arrays and
+        # those left when the (m, D) final W is built, not their sum. The
+        # loop has four m x n step buffers, H_test0 and one (m, TEST_TILE)
+        # buffer per half, but no (m, n_test) H_t and no Phi; the final
+        # snapshot is H itself
+        m, n, n_test, d, f8 = 2048, 64, 400, 8, 8
         assert m * n * n >= TWO_BLOCK_MIN_MN2 and m * n * n_test >= TWO_BLOCK_MIN_MN2
+        assert n_test > 2 * TEST_TILE
         spec = EmbeddingSpec(kind=kind, d=d, D=D, activation=TANH, seed=3)
         cfg = ModelConfig(embedding=spec, activation=TANH, scaling=OURS, m=m, seed=3)
         rng = np.random.default_rng(5)
@@ -300,12 +307,32 @@ class TestRunTraining:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        snapshots, Phi = 2 * m * n * f8, n * D * f8
-        # H, Pacc, sigma, sigma'; H_test0, H_t; Kmat, Ktest
-        loop = 4 * m * n * f8 + 2 * m * n_test * f8 + (n * n + n * n_test) * f8
-        # Pacc and the final W
-        final = m * n * f8 + m * D * f8
-        assert peak <= snapshots + Phi + max(loop, final) + 2 ** 17
+        snapshot = m * n * f8                         # the copy of step 0
+        # H, Pacc, sigma, sigma'; H_test0, two tile buffers; Kmat, Ktest
+        loop = (4 * m * n + m * n_test + 2 * m * TEST_TILE + n * n + n * n_test) * f8
+        # H (the final snapshot), Pacc, Phi and the final W
+        final = (2 * m * n + n * D + m * D) * f8
+        # and the active fractions' temporaries at a record step
+        assert peak <= snapshot + max(loop, final) + ACTIVE_CHUNK_BYTES + 2 ** 17
+
+    @pytest.mark.parametrize("n_test", [150, 12], ids=["narrow-last-tile", "no-split"])
+    def test_tile_width_leaves_the_bits_alone(self, monkeypatch, n_test):
+        # the test outputs of tiles of 8 columns, of TEST_TILE and of the
+        # whole half are the same bits, with and without the column split
+        cfg, X, y = _two_block_problem(RELU)
+        rng = np.random.default_rng(24)
+        test_X, test_y = rng.standard_normal((n_test, 3)), rng.standard_normal(n_test)
+        assert (cfg.m * len(X) * n_test >= TWO_BLOCK_MIN_MN2) == (n_test >= 16)
+        traces = []
+        for tile in (8, TEST_TILE, n_test):
+            monkeypatch.setattr(train_module, "TEST_TILE", tile)
+            traces.append(run_training(cfg, TrainConfig(steps=20, delta=0.01, record_every=5),
+                                       X, y, test_X=test_X, test_y=test_y))
+        first = traces[0]
+        assert len(first.test_errors) == 5 and first.test_errors[-1] < first.test_errors[0]
+        for trace in traces[1:]:
+            assert np.array_equal(trace.test_errors, first.test_errors)
+            assert np.array_equal(trace.final_params.W, first.final_params.W)
 
     def test_helper_thread_does_not_outlive_the_run(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
