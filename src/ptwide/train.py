@@ -15,6 +15,16 @@ updated in place, and one activation pass writes the next step's sigma(H)
 and sigma'(H) together. The arithmetic is the same, in the same order, as
 building P and P @ K as fresh arrays.
 
+The scalings by r and by c would broadcast along rows, and at short rows
+numpy runs one n-element inner loop per row of such a broadcast (at
+m = 1024, n = 20 and one BLAS thread the two took 49 of a 203 us step). So
+a run keeps an (m, n) copy of c and scales each row block by its rows of
+it, and it scales by r through a view of R_ROWS = 16 rows to a line,
+against r tiled 16 times in a buffer refreshed each step (a block whose
+rows 16 does not divide takes one row to a line). Each product has the same
+two factors in the same order, r first, so the bits are those of the row
+broadcasts.
+
 A neuron's row of H changes only through the residual r, so the rows
 split into independent blocks within a step. When the step product is
 large (m n^2 >= 2**23, so a fork/join costs under a tenth of it), the
@@ -41,11 +51,18 @@ evaluated TEST_TILE columns at a time, from H_test0 and Ktest, through one
 (m, TEST_TILE) buffer per half that holds a tile's H_t and then sigma(H_t)
 in place (the last, narrower tile uses a prefix of it), so there is no
 (m, n_test) H_t and a record step allocates no (m, n) or (m, n_test)
-array. The tile width changes no bits: every tile starts at a multiple of
-8. Phi (n, D) is dropped once the kernels exist and embedded again for the
-final W, and the snapshot of the final step keeps H itself, not a copy.
-The step and test-set buffers are released before the (m, D) final W is
-built, so that W does not add to the loop's peak memory.
+array. The tile width is fixed, because it can move the last bits of f_t:
+at exp3's shape (m = 1024, n = 200, column halves of 248 and 252) the
+tiles of 64 give other bits than one product per half, as OpenBLAS's
+product over the 252 columns is not bit-equal to that over its tiles.
+f_t does not depend on the helper or on the CPU or BLAS thread count.
+Phi (n, D) is dropped once the kernels exist and embedded again for the
+final W. No snapshot copies H at step 0: that H is built again after the
+loop, by the same product alpha (W @ Phi^T) from the same W and Phi, so
+the loop's live set carries the copy of c in its place. The snapshot of
+the final step keeps H itself. The step and test-set buffers are released
+before the (m, D) final W is built, so that W does not add to the loop's
+peak memory.
 """
 
 from __future__ import annotations
@@ -71,6 +88,8 @@ TWO_BLOCK_MIN_MN2 = 2 ** 23
 # Columns of the test set evaluated at a time, through one (m, TEST_TILE)
 # buffer per column half: a multiple of 8, so that every tile starts at one.
 TEST_TILE = 64
+# Rows to a line of the step's scaling by r, against r tiled R_ROWS times.
+R_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -180,15 +199,24 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
     prev_loss = None
     snapshot_set = set(train_config.snapshot_steps)
 
+    # The step scales by a full copy of c and by r tiled k times (refreshed
+    # each step), not by row broadcasts. Each product keeps its two factors,
+    # so no bit changes.
+    c_rows = np.repeat(c[:, None], n, axis=1)
+    r_rows = np.empty((R_ROWS, n))
     bounds = (0, m // 2, m) if m * n * n >= TWO_BLOCK_MIN_MN2 else (0, m)
-    blocks = [(H[lo:hi], sig[lo:hi], P[lo:hi], Pacc[lo:hi], c[lo:hi, None])
-              for lo, hi in zip(bounds, bounds[1:])]
+    blocks = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        k = R_ROWS if (hi - lo) % R_ROWS == 0 else 1
+        blocks.append((H[lo:hi], sig[lo:hi], P[lo:hi], Pacc[lo:hi], c_rows[lo:hi],
+                       P[lo:hi].reshape(-1, k * n), r_rows[:k].reshape(-1)))
 
-    def advance(block, r: np.ndarray) -> None:
+    def advance(block) -> None:
         """This step's update of one row block, then its next sigma, sigma'.
-        sig_b holds P @ K until value_and_deriv writes the next sigma."""
-        H_b, sig_b, P_b, Pacc_b, c_b = block
-        P_b *= r
+        P_k is P_b seen k rows to a line, r_k is r tiled k times, and sig_b
+        holds P @ K until value_and_deriv writes the next sigma."""
+        H_b, sig_b, P_b, Pacc_b, c_b, P_k, r_k = block
+        P_k *= r_k
         P_b *= c_b
         np.matmul(P_b, Kmat, out=sig_b)
         H_b -= sig_b
@@ -220,19 +248,20 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
             trace.test_errors.append(test_metric(f_t, test_y))
 
     def snapshot(step: int, f: np.ndarray) -> None:
-        # The loop ends at the final step, so its snapshot may keep H itself.
-        final = step == train_config.steps
-        trace.snapshots[step] = (H if final else H.copy(), f.copy())
+        # The loop ends at the final step, so its snapshot may keep H itself;
+        # H at step 0 is built again after the loop, from W and Phi.
+        H_s = None if step == 0 else H if step == train_config.steps else H.copy()
+        trace.snapshots[step] = (H_s, f.copy())
         if has_probe:
             H_p = H_probe0 if step == 0 else H_probe0 - Pacc @ Kprobe
             trace.probe_snapshots[step] = H_p
 
-    def in_blocks(fn, fn_blocks, arg) -> None:
-        """fn(block, arg) for each block: with two blocks, the second goes to
-        the helper while the caller runs the first (one fork/join)."""
+    def in_blocks(fn, fn_blocks, *args) -> None:
+        """fn(block, *args) for each block: with two blocks, the second goes
+        to the helper while the caller runs the first (one fork/join)."""
         if len(fn_blocks) == 2:
-            helper.submit(fn, fn_blocks[1], arg)
-        fn(fn_blocks[0], arg)
+            helper.submit(fn, fn_blocks[1], *args)
+        fn(fn_blocks[0], *args)
         helper.wait()
 
     with Helper(max(len(blocks), len(test_blocks)) == 2) as helper:
@@ -256,14 +285,20 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
                 snapshot(step, f)
             if step == train_config.steps:
                 break
-            in_blocks(advance, blocks, r)
+            r_rows[...] = r
+            in_blocks(advance, blocks)
 
     # W - scale * (Pacc @ Phi) needs only Pacc and Phi: drop the step and
     # test-set buffers (the step blocks hold views of them) before Phi and
     # the (m, D) W_final exist, and build W_final in one array, with no
-    # (m, D) temporary.
-    H = sig = P = blocks = test_blocks = H_test0 = Ktest = None
+    # (m, D) temporary. The snapshot of step 0 is the initial H, by the
+    # same product as before the loop.
+    H = sig = P = c_rows = blocks = test_blocks = H_test0 = Ktest = None
     Phi = embed_batch(config.embedding, params.embedding_weights, X)
+    if 0 in trace.snapshots:
+        H0 = params.W @ Phi.T
+        H0 *= alpha
+        trace.snapshots[0] = (H0, trace.snapshots[0][1])
     W_final = Pacc @ Phi
     W_final *= lam * delta * beta * alpha
     np.subtract(params.W, W_final, out=W_final)

@@ -306,13 +306,15 @@ class TestActiveFraction:
         with pytest.raises(InvalidConfigError):
             active_fraction(np.zeros((2, 2)), (1.0, -1.0))
 
-    @pytest.mark.parametrize("shape", [(1000, 200), (3, 2**16 + 5), (2**16 + 3, 2), (1, 1)],
-                             ids=["rows-not-a-chunk-multiple", "n-above-2^16",
+    @pytest.mark.parametrize("shape", [(1000, 200), (1024, 20), (3, 2**16 + 5),
+                                       (2**16 + 3, 2), (1, 1)],
+                             ids=["rows-not-a-chunk-multiple", "short-rows", "n-above-2^16",
                                   "m-above-2^16", "one-entry"])
     @pytest.mark.parametrize("interval", [(0.0, 3.0), (-1.0, 1.0), (-0.0, 0.5)])
     def test_matches_the_one_shot_formula(self, shape, interval):
-        # the chunked counts are the same bits as the mean of the whole
-        # indicator, with entries exactly at lo and hi, and +0.0 and -0.0
+        # the chunked counts, summed ACTIVE_GROUP rows to a line or one, are
+        # the same bits as the mean of the whole indicator, with entries
+        # exactly at lo and hi, and +0.0 and -0.0
         rng = np.random.default_rng(15)
         H = rng.choice([0.0, -0.0, 3.0, -1.0, 1.0, 0.5, np.nan], size=shape)
         H[::2] += rng.standard_normal(H[::2].shape)

@@ -9,14 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptwide.activations import LINEAR, RELU, TANH, leaky_relu
+from ptwide.datasets import gen_wei
 from ptwide.diagnostics import ACTIVE_CHUNK_BYTES
 from ptwide.embedding import EmbeddingSpec, embed_batch
 from ptwide.errors import InvalidConfigError
 from ptwide.model import MF, NTK, OURS, ModelConfig, forward, init_params
 import ptwide.helper as helper_module
 import ptwide.train as train_module
-from ptwide.train import (TEST_TILE, TWO_BLOCK_MIN_MN2, TrainConfig, run_training,
-                          trace_to_csv)
+from ptwide.train import (TEST_TILE, TWO_BLOCK_MIN_MN2, TrainConfig,
+                          run_training, trace_to_csv)
 from oracle import (_check_kernel_path_against_explicit, _check_kernel_path_on,
                     _identity_spec, _manual_params, gd_step, grad_W, loss)
 
@@ -39,6 +40,33 @@ def _two_block_problem(activation):
                       activation=activation, scaling=OURS, m=m, seed=4)
     rng = np.random.default_rng(21)
     return cfg, rng.standard_normal((n, 3)), rng.standard_normal(n)
+
+
+def _run_by_row_broadcasts(cfg, X, y, delta, steps):
+    """H after each of steps GD steps and the final W, written as row
+    broadcasts: P = sigma'(H) * r, then P * c[:, None], and P @ K per row
+    block of the step."""
+    params = init_params(cfg)
+    beta = cfg.m ** (-cfg.scaling.output_exponent)
+    alpha = cfg.D ** (-cfg.scaling.hidden_exponent)
+    lam = cfg.m ** cfg.scaling.lr_exponent
+    Phi = embed_batch(cfg.embedding, params.embedding_weights, X)
+    K = (lam * delta * beta * alpha * alpha) * (Phi @ Phi.T)
+    H = forward(cfg, params, X).H
+    Pacc = np.zeros_like(H)
+    half = cfg.m // 2 if cfg.m * len(X) ** 2 >= TWO_BLOCK_MIN_MN2 else cfg.m
+    Hs = []
+    for _ in range(steps):
+        sig, P = np.empty_like(H), np.empty_like(H)
+        cfg.activation.value_and_deriv(H, sig, P)
+        P *= beta * (params.c @ sig) - y
+        P *= params.c[:, None]
+        H = H - np.vstack([P[:half] @ K, P[half:] @ K])
+        Pacc += P
+        Hs.append(H)
+    W = Pacc @ Phi
+    W *= lam * delta * beta * alpha
+    return Hs, params.W - W
 
 
 class TestLoss:
@@ -232,10 +260,12 @@ class TestRunTraining:
         assert np.array_equal(a.losses, b.losses)
         assert np.array_equal(a.test_errors, b.test_errors)
         assert np.array_equal(a.eta_min, b.eta_min)
-        assert a.snapshots.keys() == b.snapshots.keys()
-        for step in a.snapshots:
-            assert np.array_equal(a.snapshots[step][0], b.snapshots[step][0])
-        assert np.array_equal(a.final_params.W, b.final_params.W)
+        assert list(a.snapshots) == list(b.snapshots)
+        pairs = [(x, y) for step in a.snapshots
+                 for x, y in zip(a.snapshots[step], b.snapshots[step])]
+        for x, y in pairs + [(a.final_params.W, b.final_params.W)]:
+            assert x.shape == y.shape and x.dtype == y.dtype
+            assert x.tobytes() == y.tobytes()
 
     def test_two_blocks_same_with_and_without_helper(self, monkeypatch):
         # the row blocks of a step and the column blocks of the test
@@ -283,17 +313,21 @@ class TestRunTraining:
             f = forward(cfg, params, test_X).f
             assert error == pytest.approx(np.mean((f - test_y) ** 2), rel=1e-9)
 
-    @pytest.mark.parametrize("kind, D", [("random_feature", 512), ("identity", 8)])
-    def test_peak_memory_is_the_live_arrays(self, kind, D):
-        # two row blocks and two test column halves of three full tiles and a
-        # narrow one each; the peak is the larger of the loop's arrays and
-        # those left when the (m, D) final W is built, not their sum. The
-        # loop has four m x n step buffers, H_test0 and one (m, TEST_TILE)
-        # buffer per half, but no (m, n_test) H_t and no Phi; the final
-        # snapshot is H itself
-        m, n, n_test, d, f8 = 2048, 64, 400, 8, 8
-        assert m * n * n >= TWO_BLOCK_MIN_MN2 and m * n * n_test >= TWO_BLOCK_MIN_MN2
-        assert n_test > 2 * TEST_TILE
+    @pytest.mark.parametrize("kind, D, m, n", [("random_feature", 512, 2048, 64),
+                                               ("identity", 8, 2048, 64),
+                                               ("identity", 8, 2048, 16)],
+                             ids=["random_feature", "identity", "one-block"])
+    def test_peak_memory_is_the_live_arrays(self, kind, D, m, n):
+        # the peak is the larger of the loop's arrays and those left when the
+        # (m, D) final W is built, not their sum. The loop has four m x n
+        # step buffers, the (m, n) copy of c, H_test0 and one (m, TEST_TILE)
+        # buffer per test column half of three full tiles and a narrow one,
+        # but no (m, n_test) H_t, no Phi and no copy of H at step 0. The
+        # final snapshot is H itself, and that of step 0 is built after the
+        # loop
+        n_test, d, f8 = 400, 8, 8
+        assert (m * n * n >= TWO_BLOCK_MIN_MN2) == (n == 64)
+        assert m * n * n_test >= TWO_BLOCK_MIN_MN2 and n_test > 2 * TEST_TILE
         spec = EmbeddingSpec(kind=kind, d=d, D=D, activation=TANH, seed=3)
         cfg = ModelConfig(embedding=spec, activation=TANH, scaling=OURS, m=m, seed=3)
         rng = np.random.default_rng(5)
@@ -307,18 +341,19 @@ class TestRunTraining:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        snapshot = m * n * f8                         # the copy of step 0
-        # H, Pacc, sigma, sigma'; H_test0, two tile buffers; Kmat, Ktest
-        loop = (4 * m * n + m * n_test + 2 * m * TEST_TILE + n * n + n * n_test) * f8
-        # H (the final snapshot), Pacc, Phi and the final W
-        final = (2 * m * n + n * D + m * D) * f8
+        # H, Pacc, sigma, sigma' and the copy of c; H_test0, two tile
+        # buffers; Kmat, Ktest
+        loop = (5 * m * n + m * n_test + 2 * m * TEST_TILE + n * n + n * n_test) * f8
+        # H (the final snapshot), the step-0 snapshot, Pacc, Phi, the final W
+        final = (3 * m * n + n * D + m * D) * f8
         # and the active fractions' temporaries at a record step
-        assert peak <= snapshot + max(loop, final) + ACTIVE_CHUNK_BYTES + 2 ** 17
+        assert peak <= max(loop, final) + ACTIVE_CHUNK_BYTES + 2 ** 17
 
     @pytest.mark.parametrize("n_test", [150, 12], ids=["narrow-last-tile", "no-split"])
     def test_tile_width_leaves_the_bits_alone(self, monkeypatch, n_test):
-        # the test outputs of tiles of 8 columns, of TEST_TILE and of the
-        # whole half are the same bits, with and without the column split
+        # at this shape the test outputs of tiles of 8 columns, of TEST_TILE
+        # and of the whole half are the same bits, with and without the
+        # column split (at exp3's shape they are not, so the width is fixed)
         cfg, X, y = _two_block_problem(RELU)
         rng = np.random.default_rng(24)
         test_X, test_y = rng.standard_normal((n_test, 3)), rng.standard_normal(n_test)
@@ -333,6 +368,85 @@ class TestRunTraining:
         for trace in traces[1:]:
             assert np.array_equal(trace.test_errors, first.test_errors)
             assert np.array_equal(trace.final_params.W, first.final_params.W)
+
+    def test_exp3_test_outputs_same_with_and_without_helper(self, monkeypatch):
+        # at exp3's shape the test set splits into column halves of 248 and
+        # 252; the test outputs f_t, as test_metric sees them, are the same
+        # bits whether the second half runs on the helper or after the first
+        # (the tile width, by contrast, moves their last bits at this shape)
+        m, n, n_test, d = 1024, 200, 500, 50
+        spec = EmbeddingSpec(kind="random_feature", d=d, D=m, activation=RELU, seed=1)
+        train, test = gen_wei(n, d, 1), gen_wei(n_test, d, 1, "test")
+        assert m * n * n_test >= TWO_BLOCK_MIN_MN2 and 8 * (n_test // 16) == 248
+        monkeypatch.setattr(helper_module, "_blas_threads", lambda: 1)
+        outputs = {}
+        for cpus in ({0, 1}, {0}):
+            threads, recorded = set(), []
+
+            def spy_fn(H, out=None):
+                threads.add(threading.get_ident())
+                return RELU.fn(H, out=out)
+
+            def record_f(f, t):
+                recorded.append(f.copy())
+                return 0.0
+
+            cfg = ModelConfig(embedding=spec, scaling=OURS, m=m, seed=1,
+                              activation=dataclasses.replace(RELU, fn=spy_fn))
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+            run_training(cfg, TrainConfig(steps=2, delta=1.0), train.X, train.y,
+                         test_X=test.X, test_y=test.y, test_metric=record_f)
+            assert len(threads) == len(cpus) and len(recorded) == 3
+            outputs[len(cpus)] = np.array(recorded)
+        assert outputs[1].tobytes() == outputs[2].tobytes()
+
+    @pytest.mark.parametrize("m, n", [(64, 5), (100, 7), (1025, 96)],
+                             ids=["one-block", "rows-not-a-multiple-of-16",
+                                  "two-blocks-of-512-and-513-rows"])
+    @pytest.mark.parametrize("c_hat", [1.0, 0.7])
+    @pytest.mark.parametrize("activation", [TANH, RELU], ids=lambda a: a.name)
+    def test_scaling_passes_match_the_row_broadcasts(self, monkeypatch, activation,
+                                                     c_hat, m, n):
+        # scaling by a full copy of c and by r tiled R_ROWS times (or one
+        # row to a line) gives the same bits as the row broadcasts r, then
+        # c[:, None], in one or two row blocks and in a block whose rows
+        # R_ROWS does not divide
+        assert (m * n * n >= TWO_BLOCK_MIN_MN2) == (m == 1025)
+        cfg = ModelConfig(embedding=EmbeddingSpec(kind="random_feature", d=3, D=16,
+                                                  activation=TANH, seed=3),
+                          activation=activation, scaling=OURS, m=m, c_hat=c_hat, seed=4)
+        rng = np.random.default_rng(25)
+        X, y = rng.standard_normal((n, 3)), rng.standard_normal(n)
+        test_X, test_y = rng.standard_normal((20, 3)), rng.standard_normal(20)
+        tc = TrainConfig(steps=20, delta=0.01, record_every=5, snapshot_steps=(0, 1, 10, 20))
+        Hs, W = _run_by_row_broadcasts(cfg, X, y, tc.delta, tc.steps)
+        traces = []
+        for rows in (1, train_module.R_ROWS):
+            monkeypatch.setattr(train_module, "R_ROWS", rows)
+            trace = run_training(cfg, tc, X, y, test_X=test_X, test_y=test_y)
+            for step in tc.snapshot_steps[1:]:
+                assert trace.snapshots[step][0].tobytes() == Hs[step - 1].tobytes()
+            assert trace.final_params.W.tobytes() == W.tobytes()
+            traces.append(trace)
+        assert not traces[0].diverged and traces[0].losses[-1] < traces[0].losses[0]
+        self._assert_same_arrays(*traces)
+
+    @pytest.mark.parametrize("steps, delta", [(0, 0.5), (20, 0.5), (500, 50.0)],
+                             ids=["no-steps", "converges", "diverges"])
+    def test_step_0_snapshot_is_the_initial_H(self, steps, delta):
+        # the snapshot of step 0 is built after the loop, from W and Phi
+        # again, and keeps its place first in the snapshots
+        cfg = ModelConfig(embedding=_identity_spec(2), activation=LINEAR,
+                          scaling=OURS, m=4, seed=1)
+        params = init_params(cfg)
+        rng = np.random.default_rng(3)
+        X, y = rng.standard_normal((3, 2)), rng.standard_normal(3)
+        snaps = (0, 1, steps) if steps else (0,)
+        trace = run_training(cfg, TrainConfig(steps=steps, delta=delta, snapshot_steps=snaps,
+                                              record_eta=False), X, y, init=params)
+        assert trace.diverged == (delta > 1)
+        assert list(trace.snapshots) == (list(snaps[:2]) if trace.diverged else list(snaps))
+        assert trace.snapshots[0][0].tobytes() == forward(cfg, params, X).H.tobytes()
 
     def test_helper_thread_does_not_outlive_the_run(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
