@@ -71,8 +71,8 @@ def cmd_experiment(args) -> int:
 def cmd_train(args) -> int:
     cfg = _config(harness.ExperimentConfig, args)
     harness.check_grid(cfg)  # the cells train leaves out must be valid too
+    harness.make_out_dir(args.out)
     result = harness.run_single(cfg, cfg.scalings[0], cfg.n_list[0], cfg.seeds[0])
-    os.makedirs(args.out, exist_ok=True)
     trace_to_csv(result.trace, os.path.join(args.out, "trace.csv"))
     if result.trace.snapshots:
         snapshots_to_npz(result.trace, os.path.join(args.out, "snapshots.npz"))
@@ -92,7 +92,7 @@ def cmd_gram(args) -> int:
                                       cfg.depth or 0, activation, cfg.embedding_seed,
                                       default_D=cfg.d)
         report = gram(spec, build_embedding(spec), data.X)
-    os.makedirs(args.out, exist_ok=True)
+    harness.make_out_dir(args.out)
     out_path = os.path.join(args.out, "gram.json")
     with open(out_path, "w") as fh:
         fh.write(report.to_json(dataset=cfg.dataset, seed=data.seed))
@@ -106,7 +106,7 @@ def cmd_concentration(args) -> int:
     cfg, data = _dataset(harness.ConcentrationConfig, args)
     rows = concentration_probe(get_activation(cfg.activation), data.X, cfg.D_list,
                                cfg.trials, data.seed, reference_samples=cfg.mc_samples)
-    os.makedirs(args.out, exist_ok=True)
+    harness.make_out_dir(args.out)
     out_path = os.path.join(args.out, "concentration.csv")
     with open(out_path, "w") as fh:
         fh.write("D,median_spectral_deviation\n")
@@ -119,8 +119,11 @@ def cmd_concentration(args) -> int:
 
 def cmd_gen_data(args) -> int:
     _, data = _dataset(harness.DatasetConfig, args)
-    os.makedirs(args.out, exist_ok=True)
-    out_path = os.path.join(args.out, f"{data.kind}_{data.split}.csv")
+    name = f"{data.kind}_{data.split}.csv"
+    if not data.split or "\0" in data.split or os.path.basename(name) != name:
+        raise InvalidConfigError(f"split {data.split!r} is not a plain file-name component")
+    harness.make_out_dir(args.out)
+    out_path = os.path.join(args.out, name)
     datasets.to_csv(data, out_path)
     print(f"wrote {out_path}")
     return 0

@@ -58,11 +58,9 @@ def build_embedding(spec: EmbeddingSpec) -> EmbeddingWeights:
     if spec.kind in ("identity", "quadratic"):
         return EmbeddingWeights()
     z = gaussian_matrix(RngStream(spec.seed, "embedding"), spec.D, spec.d)
-    if spec.kind == "random_feature":
-        return EmbeddingWeights(z=z)
-    layers = tuple(
+    layers = tuple(  # L - 3 inner matrices; none for random_feature, whose depth is 0
         gaussian_matrix(RngStream(spec.seed, f"embedding-layer-{l}"), spec.D, spec.D)
-        for l in range(1, spec.depth - 2)  # L - 3 inner matrices
+        for l in range(1, spec.depth - 2)
     )
     return EmbeddingWeights(z=z, deep_layers=layers)
 

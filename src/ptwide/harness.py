@@ -20,7 +20,7 @@ import numpy as np
 
 from . import datasets
 from .activations import get_activation
-from .diagnostics import gram, lemma1_monitor, pl_monitor, theory_constants
+from .diagnostics import MonitorResult, gram, lemma1_monitor, pl_monitor, theory_constants
 from .embedding import FIXED_D, EmbeddingSpec
 from .errors import InvalidConfigError
 from .model import ModelConfig, get_scaling, init_params
@@ -252,6 +252,7 @@ def embedding_spec(kind: str, d: int, D: int | None, depth: int, activation,
 class RunResult:
     row: dict
     trace: TrainingTrace
+    lemma1: MonitorResult | None = None  # None: the cell diverged or its Gram is degenerate
 
 
 def _cell(cfg: ExperimentConfig, scaling_name: str, n: int, seed: int):
@@ -271,10 +272,25 @@ def _cell(cfg: ExperimentConfig, scaling_name: str, n: int, seed: int):
     return model_cfg, tc, train_data, test_data
 
 
+def cells(cfg: ExperimentConfig):
+    """The grid's (scaling, n, seed) cells, in the order a grid runs them."""
+    return itertools.product(cfg.scalings, cfg.n_list, cfg.seeds)
+
+
 def check_grid(cfg: ExperimentConfig) -> None:
     """Raise the InvalidConfigError of the first bad cell, if any."""
-    for cell in itertools.product(cfg.scalings, cfg.n_list, cfg.seeds):
+    for cell in cells(cfg):
         _cell(cfg, *cell)
+
+
+def make_out_dir(path) -> None:
+    """Create the output directory ``path``; one that cannot be made is an
+    InvalidConfigError (exit 2), not a failed monitor."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise InvalidConfigError(f"cannot create output directory {path}: "
+                                 f"{exc.strerror}") from None
 
 
 def run_single(cfg: ExperimentConfig, scaling_name: str, n: int, seed: int) -> RunResult:
@@ -303,8 +319,7 @@ def run_single(cfg: ExperimentConfig, scaling_name: str, n: int, seed: int) -> R
                                  gram_report.g_min, gram_report.g_max,
                                  gram_report.lambda_min, gram_report.lambda_max,
                                  model_cfg.activation.k_deriv, cfg.c_hat)
-    lemma1_pass = ("na" if constants.degenerate
-                   else lemma1_monitor(trace, constants, cfg.c_hat).passed)
+    lemma1 = None if constants.degenerate else lemma1_monitor(trace, constants, cfg.c_hat)
     pl = pl_monitor(model_cfg, trace.final_params, train_data.X, train_data.y,
                     gram_report)
     try:
@@ -312,8 +327,9 @@ def run_single(cfg: ExperimentConfig, scaling_name: str, n: int, seed: int) -> R
     except InvalidConfigError:
         slope, r2 = float("nan"), float("nan")
     row.update(final_loss=trace.losses[-1], test_error=trace.test_errors[-1],
-               rate_slope=slope, rate_r2=r2, lemma1_pass=lemma1_pass, pl_pass=pl.passed)
-    return RunResult(row=row, trace=trace)
+               rate_slope=slope, rate_r2=r2,
+               lemma1_pass="na" if lemma1 is None else lemma1.passed, pl_pass=pl.passed)
+    return RunResult(row=row, trace=trace, lemma1=lemma1)
 
 
 def write_summary(rows: list[dict], path) -> None:
@@ -329,11 +345,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> list[dict]:
     and return the summary rows. A diverged cell is recorded in its row and
     the grid continues. Reruns of a config give bit-identical outputs."""
     check_grid(cfg)
-    os.makedirs(out_dir, exist_ok=True)
+    make_out_dir(out_dir)
     rows = []
     curves: dict[tuple, list[TrainingTrace]] = {}
 
-    for scaling_name, n, seed in itertools.product(cfg.scalings, cfg.n_list, cfg.seeds):
+    for scaling_name, n, seed in cells(cfg):
         result = run_single(cfg, scaling_name, n, seed)
         rows.append(result.row)
         tag = f"{cfg.experiment}_{scaling_name}_n{n}_m{cfg.m}_s{seed}"

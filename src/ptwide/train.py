@@ -237,7 +237,7 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
                 np.subtract(H_test0[:, a:b], H_t, out=H_t)
             f_t[a:b] = beta * (c @ sigma(H_t, out=H_t))
 
-    def record(step: int, f: np.ndarray, lval: float) -> None:
+    def record(step: int, lval: float) -> None:
         trace.steps.append(step)
         trace.losses.append(lval)
         if train_config.record_eta:
@@ -280,7 +280,7 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
                 trace.monotone_violations.append(step)
             prev_loss = lval
             if step % train_config.record_every == 0 or step == train_config.steps:
-                record(step, f, lval)
+                record(step, lval)
             if step in snapshot_set:
                 snapshot(step, f)
             if step == train_config.steps:

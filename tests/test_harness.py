@@ -402,6 +402,9 @@ class TestCli:
         ("concentration", {"D_list": []}),
         ("concentration", {"D_list": [64, 64]}),
         ("concentration", {"D_list": [0, 5]}),
+        ("gen-data", {"split": "a/b"}),
+        ("gen-data", {"split": "a\0b"}),
+        ("gen-data", {"split": ""}),
     ], ids=["gram-mc_samples-type", "concentration-mc_samples-type",
             "concentration-missing-D_list", "gram-leaky-slope", "gram-negative-seed",
             "gen-data-fractional-n", "gram-bool-mc_samples", "gram-mc_samples-with-embedding",
@@ -409,7 +412,8 @@ class TestCli:
             "gram-identity-with-its-own-D", "gram-quadratic-with-D", "gram-default-with-D",
             "gram-random_feature-with-depth", "gram-default-with-depth",
             "concentration-D_list-empty", "concentration-D_list-repeated",
-            "concentration-D_list-zero"])
+            "concentration-D_list-zero", "gen-data-split-path", "gen-data-split-nul",
+            "gen-data-split-empty"])
     def test_bad_gram_and_concentration_config_exits_2(self, tmp_path, capsys,
                                                        verb, payload):
         cfg = self._write(tmp_path / "bad.json",
@@ -419,6 +423,27 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("verb, payload", [
+        ("train", LEMMA1_FAILS), ("experiment", LEMMA1_FAILS),
+        ("gram", {"dataset": "wei", "n": 10, "d": 3}),
+        ("concentration", {"dataset": "wei", "n": 10, "d": 3, "D_list": [16, 32],
+                           "trials": 3, "mc_samples": 2000}),
+        ("gen-data", {"dataset": "wei", "n": 10, "d": 3}),
+    ], ids=["train", "experiment", "gram", "concentration", "gen-data"])
+    def test_out_that_is_a_file_exits_2(self, tmp_path, capsys, monkeypatch, verb, payload):
+        def train_nothing(*cell):
+            raise AssertionError("a cell ran before --out was created")
+        monkeypatch.setattr("ptwide.harness.run_single", train_nothing)
+        out = tmp_path / "o"
+        out.write_text("a file")
+        cfg = self._write(tmp_path / "c.json", payload)
+        rc = cli_main([verb, "--config", cfg, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot create output directory")
+        assert len(err.strip().splitlines()) == 1
+        assert out.read_text() == "a file"
 
     @pytest.mark.parametrize("verb", ["experiment", "train"])
     @pytest.mark.parametrize("payload", [
