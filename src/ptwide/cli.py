@@ -3,8 +3,9 @@
 Verbs: train, experiment, gram, concentration, gen-data. Each takes a JSON
 config via --config and an output directory via --out; --seed overrides the
 config seed(s). Exit code is 0 iff all inequality monitors pass (or
-train/experiment get --no-strict), 1 if one fails, and 2 on a bad config.
-Floats are printed with 17 significant digits.
+train/experiment get --no-strict), 1 if one fails, and 2 on a bad config,
+found before --out is made and any work starts. Floats are printed, and
+written to CSV by ``numkernel.write_csv``, in ``%.17g``.
 
 Under glibc, ``main`` fixes malloc's mmap threshold at its documented
 default of 128 KiB. Left dynamic, glibc raises the threshold to the size of
@@ -27,7 +28,7 @@ from .activations import get_activation
 from .diagnostics import concentration_probe, gram, gram_limit_mc
 from .embedding import build_embedding
 from .errors import InvalidConfigError, PtwideError
-from .harness import fmt
+from .numkernel import fmt, write_csv
 from .train import snapshots_to_npz, trace_to_csv
 
 
@@ -85,14 +86,12 @@ def cmd_train(args) -> int:
 def cmd_gram(args) -> int:
     cfg, data = _dataset(harness.GramConfig, args)
     activation = get_activation(cfg.activation)
-    if cfg.mc_samples:
-        report = gram_limit_mc(activation, data.X, cfg.mc_samples, cfg.embedding_seed)
-    else:
-        spec = harness.embedding_spec(cfg.embedding or "identity", cfg.d, cfg.D,
-                                      cfg.depth or 0, activation, cfg.embedding_seed,
-                                      default_D=cfg.d)
-        report = gram(spec, build_embedding(spec), data.X)
+    spec = None if cfg.mc_samples else harness.embedding_spec(
+        cfg.embedding or "identity", cfg.d, cfg.D, cfg.depth or 0, activation,
+        cfg.embedding_seed, default_D=cfg.d)
     harness.make_out_dir(args.out)
+    report = (gram(spec, build_embedding(spec), data.X) if spec is not None else
+              gram_limit_mc(activation, data.X, cfg.mc_samples, cfg.embedding_seed))
     out_path = os.path.join(args.out, "gram.json")
     with open(out_path, "w") as fh:
         fh.write(report.to_json(dataset=cfg.dataset, seed=data.seed))
@@ -104,15 +103,14 @@ def cmd_gram(args) -> int:
 
 def cmd_concentration(args) -> int:
     cfg, data = _dataset(harness.ConcentrationConfig, args)
-    rows = concentration_probe(get_activation(cfg.activation), data.X, cfg.D_list,
-                               cfg.trials, data.seed, reference_samples=cfg.mc_samples)
+    activation = get_activation(cfg.activation)
     harness.make_out_dir(args.out)
+    rows = concentration_probe(activation, data.X, cfg.D_list, cfg.trials, data.seed,
+                               reference_samples=cfg.mc_samples)
     out_path = os.path.join(args.out, "concentration.csv")
-    with open(out_path, "w") as fh:
-        fh.write("D,median_spectral_deviation\n")
-        for D, dev in rows:
-            fh.write(f"{D},{fmt(dev)}\n")
-            print(f"D={D}: {fmt(dev)}")
+    write_csv(out_path, ["D", "median_spectral_deviation"], rows)
+    for D, dev in rows:
+        print(f"D={D}: {fmt(dev)}")
     print(f"wrote {out_path}")
     return 0
 

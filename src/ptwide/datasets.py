@@ -7,7 +7,6 @@ when the training-set size changes.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +15,7 @@ from .activations import RELU
 from .errors import InvalidConfigError
 from .model import ModelConfig, OURS, forward, init_params
 from .embedding import EmbeddingSpec
-from .numkernel import RngStream, fmt
+from .numkernel import RngStream, write_csv
 
 
 @dataclass(frozen=True)
@@ -89,9 +88,5 @@ def gen_wei(n: int, d: int, seed: int, split: str = "train") -> Dataset:
 
 def to_csv(dataset: Dataset, path) -> None:
     """Write the dataset as CSV with header x_1..x_d, y."""
-    d = dataset.X.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x_{j + 1}" for j in range(d)] + ["y"])
-        for xa, ya in zip(dataset.X, dataset.y):
-            writer.writerow([fmt(v) for v in xa] + [fmt(ya)])
+    header = [f"x_{j + 1}" for j in range(dataset.X.shape[1])] + ["y"]
+    write_csv(path, header, np.column_stack((dataset.X, dataset.y)))

@@ -98,6 +98,21 @@ def gram(spec: EmbeddingSpec, weights: EmbeddingWeights, X: np.ndarray) -> GramR
     return _report_from_gram(G, _KIND_BY_EMBEDDING[spec.kind])
 
 
+def check_mc_samples(samples: int) -> None:
+    """The sample count that ``gram_limit_mc`` accepts."""
+    if samples < 1000:
+        raise InvalidConfigError("gram_limit_mc requires samples >= 1000")
+
+
+def check_concentration(D_list: list[int], trials: int) -> None:
+    """The widths and trial count that ``concentration_probe`` accepts."""
+    if not D_list or D_list[0] < 1 or any(a >= b for a, b in zip(D_list, D_list[1:])):
+        raise InvalidConfigError(f"D_list must be a non-empty, strictly ascending list "
+                                 f"of widths >= 1, not {list(D_list)}")
+    if trials < 3:
+        raise InvalidConfigError("trials must be >= 3")
+
+
 def gram_limit_mc(activation: ActivationSpec, X: np.ndarray, samples: int,
                   seed: int, chunk: int | None = None) -> GramReport:
     """Monte-Carlo estimate of the infinite-width Gram limit.
@@ -122,8 +137,7 @@ def gram_limit_mc(activation: ActivationSpec, X: np.ndarray, samples: int,
     chunks and the order of the sums are the same either way, and so are
     the bits.
     """
-    if samples < 1000:
-        raise InvalidConfigError("gram_limit_mc requires samples >= 1000")
+    check_mc_samples(samples)
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
     gen = RngStream(seed, "gram-mc").generator()
@@ -170,11 +184,7 @@ def concentration_probe(activation: ActivationSpec, X: np.ndarray,
     For each D, draws fresh random-feature weights ``trials`` times and
     measures ||G - G_limit||_2 against a high-sample MC reference.
     """
-    if not D_list or D_list[0] < 1 or any(a >= b for a, b in zip(D_list, D_list[1:])):
-        raise InvalidConfigError(f"D_list must be a non-empty, strictly ascending list "
-                                 f"of widths >= 1, not {list(D_list)}")
-    if trials < 3:
-        raise InvalidConfigError("trials must be >= 3")
+    check_concentration(D_list, trials)
     X = np.asarray(X, dtype=np.float64)
     d = X.shape[1]
     if reference is None:

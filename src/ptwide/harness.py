@@ -8,7 +8,6 @@ scatter data for two probe inputs at steps {0, mid, final}.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 import math
@@ -20,11 +19,12 @@ import numpy as np
 
 from . import datasets
 from .activations import get_activation
-from .diagnostics import MonitorResult, gram, lemma1_monitor, pl_monitor, theory_constants
+from .diagnostics import (MonitorResult, check_concentration, check_mc_samples, gram,
+                          lemma1_monitor, pl_monitor, theory_constants)
 from .embedding import FIXED_D, EmbeddingSpec
 from .errors import InvalidConfigError
 from .model import ModelConfig, get_scaling, init_params
-from .numkernel import fmt
+from .numkernel import write_csv
 from .train import TrainConfig, TrainingTrace, run_training, snapshots_to_npz, trace_to_csv
 
 SUMMARY_COLUMNS = ["experiment", "scaling", "n", "m", "seed", "final_loss",
@@ -126,8 +126,10 @@ class GramConfig(DatasetConfig):
     mc_samples: int = 0
 
     def __post_init__(self):
-        if self.mc_samples and (self.embedding, self.D, self.depth) != (None, None, None):
-            raise InvalidConfigError("mc_samples takes no embedding, D or depth")
+        if self.mc_samples:
+            if (self.embedding, self.D, self.depth) != (None, None, None):
+                raise InvalidConfigError("mc_samples takes no embedding, D or depth")
+            check_mc_samples(self.mc_samples)
 
 
 @dataclass(kw_only=True)
@@ -137,6 +139,10 @@ class ConcentrationConfig(DatasetConfig):
     activation: str = "relu"
     trials: int = 5
     mc_samples: int = 1_000_000
+
+    def __post_init__(self):
+        check_concentration(self.D_list, self.trials)
+        check_mc_samples(self.mc_samples)
 
 
 # Each experiment's defaults for the keys that have none on ExperimentConfig.
@@ -306,6 +312,7 @@ def run_single(cfg: ExperimentConfig, scaling_name: str, n: int, seed: int) -> R
                          test_X=test_data.X, test_y=test_data.y,
                          test_metric=metric, init=params, probe_X=probe)
     del params  # the initial (m, D) W; pl_monitor needs only the final one
+    final_params, trace.final_params = trace.final_params, None  # no caller reads it
 
     row = {"experiment": cfg.experiment, "scaling": scaling_name, "n": n,
            "m": cfg.m, "seed": seed}
@@ -320,8 +327,7 @@ def run_single(cfg: ExperimentConfig, scaling_name: str, n: int, seed: int) -> R
                                  gram_report.lambda_min, gram_report.lambda_max,
                                  model_cfg.activation.k_deriv, cfg.c_hat)
     lemma1 = None if constants.degenerate else lemma1_monitor(trace, constants, cfg.c_hat)
-    pl = pl_monitor(model_cfg, trace.final_params, train_data.X, train_data.y,
-                    gram_report)
+    pl = pl_monitor(model_cfg, final_params, train_data.X, train_data.y, gram_report)
     try:
         slope, r2 = rate_fit(trace.steps, trace.losses)
     except InvalidConfigError:
@@ -333,11 +339,7 @@ def run_single(cfg: ExperimentConfig, scaling_name: str, n: int, seed: int) -> R
 
 
 def write_summary(rows: list[dict], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_COLUMNS)
-        for row in rows:
-            writer.writerow([fmt(row[c]) for c in SUMMARY_COLUMNS])
+    write_csv(path, SUMMARY_COLUMNS, ([row[c] for c in SUMMARY_COLUMNS] for row in rows))
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str) -> list[dict]:
@@ -357,8 +359,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> list[dict]:
         if result.trace.snapshots:
             snapshots_to_npz(result.trace, os.path.join(out_dir, f"snaps_{tag}.npz"))
         _write_probe_scatter(result.trace, os.path.join(out_dir, f"features_{tag}.csv"))
-        # The mean curves need only these fields. A finished cell's whole
-        # trace (snapshots, final W) is dropped before the next cell runs.
+        # Keep what the mean curves read; drop the rest before the next cell.
         t = result.trace
         curves.setdefault((scaling_name, n), []).append(TrainingTrace(
             steps=t.steps, losses=t.losses, test_errors=t.test_errors, diverged=t.diverged))
@@ -377,13 +378,9 @@ def _write_probe_scatter(trace: TrainingTrace, path) -> None:
     """Per-neuron (h_i(x_train), h_i(x_test)) pairs at the snapshot steps."""
     if not trace.probe_snapshots:
         return
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "neuron", "h_train", "h_test"])
-        for step in sorted(trace.probe_snapshots):
-            H_p = trace.probe_snapshots[step]
-            for i in range(H_p.shape[0]):
-                writer.writerow([step, i, fmt(H_p[i, 0]), fmt(H_p[i, 1])])
+    write_csv(path, ["step", "neuron", "h_train", "h_test"],
+              ((step, i, *h) for step, H_p in sorted(trace.probe_snapshots.items())
+               for i, h in enumerate(H_p)))
 
 
 def _write_mean_curve(traces: list[TrainingTrace], path) -> None:
@@ -394,8 +391,5 @@ def _write_mean_curve(traces: list[TrainingTrace], path) -> None:
         return
     loss = np.mean([t.losses for t in usable], axis=0)
     te = np.mean([t.test_errors for t in usable], axis=0)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "mean_loss", "mean_test_error"])
-        for i, s in enumerate(usable[0].steps):
-            writer.writerow([s, fmt(loss[i]), fmt(te[i])])
+    write_csv(path, ["step", "mean_loss", "mean_test_error"],
+              zip(usable[0].steps, loss, te))

@@ -1,4 +1,4 @@
-"""Seeded randomness, dense symmetric eigenvalue extraction and number formatting.
+"""Seeded randomness, dense symmetric eigenvalue extraction, formatting and CSV.
 
 Matrices are plain float64 numpy arrays throughout the package. Random
 draws go through named :class:`RngStream` objects so that, e.g., changing
@@ -7,6 +7,7 @@ the hidden width never perturbs the dataset stream.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 from dataclasses import dataclass
 
@@ -20,6 +21,15 @@ SYMMETRY_TOL = 1e-12
 def fmt(v) -> str:
     """A value as written to CSV and printed: floats with 17 significant digits."""
     return "%.17g" % v if isinstance(v, float) else str(v)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` and then each of ``rows`` to the CSV file ``path``, every
+    value through ``fmt``, in the csv module's default dialect (CRLF row ends)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([fmt(v) for v in row] for row in rows)
 
 
 @dataclass(frozen=True)

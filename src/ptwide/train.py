@@ -67,7 +67,7 @@ peak memory.
 
 from __future__ import annotations
 
-import csv
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -78,7 +78,7 @@ from .embedding import embed_batch
 from .errors import InvalidConfigError
 from .helper import Helper
 from .model import ModelConfig, Parameters, init_params
-from .numkernel import fmt
+from .numkernel import write_csv
 
 DIVERGENCE_THRESHOLD = 1e12
 # Smallest m n^2 (the multiply-adds of one step's P @ K) that runs on two row
@@ -223,18 +223,15 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
         Pacc_b += P_b
         value_and_deriv(H_b, sig_b, P_b)
 
-    def evaluate(block, step: int) -> None:
+    def evaluate(block) -> None:
         """One column half of the test outputs f_t, a tile at a time: the
         tile's H_t, then sigma(H_t), in a prefix of the half's buffer."""
         lo, hi, buf = block
         for a in range(lo, hi, TEST_TILE):
             b = min(a + TEST_TILE, hi)
             H_t = buf[:m * (b - a)].reshape(m, b - a)
-            if step == 0:
-                H_t[...] = H_test0[:, a:b]
-            else:
-                np.matmul(Pacc, Ktest[:, a:b], out=H_t)
-                np.subtract(H_test0[:, a:b], H_t, out=H_t)
+            np.matmul(Pacc, Ktest[:, a:b], out=H_t)
+            np.subtract(H_test0[:, a:b], H_t, out=H_t)
             f_t[a:b] = beta * (c @ sigma(H_t, out=H_t))
 
     def record(step: int, lval: float) -> None:
@@ -244,24 +241,23 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
             _, mn = active_fraction(H, config.activation.active_region)
             trace.eta_min.append(mn)
         if has_test:
-            in_blocks(evaluate, test_blocks, step)
+            in_blocks(evaluate, test_blocks)
             trace.test_errors.append(test_metric(f_t, test_y))
 
     def snapshot(step: int, f: np.ndarray) -> None:
         # The loop ends at the final step, so its snapshot may keep H itself;
         # H at step 0 is built again after the loop, from W and Phi.
         H_s = None if step == 0 else H if step == train_config.steps else H.copy()
-        trace.snapshots[step] = (H_s, f.copy())
+        trace.snapshots[step] = (H_s, f)
         if has_probe:
-            H_p = H_probe0 if step == 0 else H_probe0 - Pacc @ Kprobe
-            trace.probe_snapshots[step] = H_p
+            trace.probe_snapshots[step] = H_probe0 - Pacc @ Kprobe
 
-    def in_blocks(fn, fn_blocks, *args) -> None:
-        """fn(block, *args) for each block: with two blocks, the second goes
-        to the helper while the caller runs the first (one fork/join)."""
+    def in_blocks(fn, fn_blocks) -> None:
+        """fn(block) for each block: with two blocks, the second goes to the
+        helper while the caller runs the first (one fork/join)."""
         if len(fn_blocks) == 2:
-            helper.submit(fn, fn_blocks[1], *args)
-        fn(fn_blocks[0], *args)
+            helper.submit(fn, fn_blocks[1])
+        fn(fn_blocks[0])
         helper.wait()
 
     with Helper(max(len(blocks), len(test_blocks)) == 2) as helper:
@@ -309,14 +305,10 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
 
 
 def trace_to_csv(trace: TrainingTrace, path) -> None:
-    """One row per recorded step: step, loss, eta_min, test_error."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "loss", "eta_min", "test_error"])
-        for i, step in enumerate(trace.steps):
-            eta = fmt(trace.eta_min[i]) if trace.eta_min else ""
-            te = fmt(trace.test_errors[i]) if trace.test_errors else ""
-            writer.writerow([step, fmt(trace.losses[i]), eta, te])
+    """One row per recorded step: step, loss, eta_min, test_error ("" if unrecorded)."""
+    write_csv(path, ["step", "loss", "eta_min", "test_error"],
+              itertools.zip_longest(trace.steps, trace.losses, trace.eta_min,
+                                    trace.test_errors, fillvalue=""))
 
 
 def snapshots_to_npz(trace: TrainingTrace, path) -> None:

@@ -222,6 +222,7 @@ class TestRunExperiment:
         })
         again = run_single(solo_cfg, "ours", 4, 1)
         assert lone.row == again.row
+        assert lone.trace.final_params is None  # read by pl_monitor, then dropped
 
     def test_probe_scatter_rows(self, small_cfg, tmp_path):
         out = tmp_path / "runs"
@@ -402,6 +403,9 @@ class TestCli:
         ("concentration", {"D_list": []}),
         ("concentration", {"D_list": [64, 64]}),
         ("concentration", {"D_list": [0, 5]}),
+        ("concentration", {"D_list": [16, 32], "trials": 2}),
+        ("concentration", {"D_list": [16, 32], "mc_samples": 999}),
+        ("gram", {"mc_samples": 999}),
         ("gen-data", {"split": "a/b"}),
         ("gen-data", {"split": "a\0b"}),
         ("gen-data", {"split": ""}),
@@ -412,8 +416,9 @@ class TestCli:
             "gram-identity-with-its-own-D", "gram-quadratic-with-D", "gram-default-with-D",
             "gram-random_feature-with-depth", "gram-default-with-depth",
             "concentration-D_list-empty", "concentration-D_list-repeated",
-            "concentration-D_list-zero", "gen-data-split-path", "gen-data-split-nul",
-            "gen-data-split-empty"])
+            "concentration-D_list-zero", "concentration-trials-2",
+            "concentration-mc_samples-999", "gram-mc_samples-999", "gen-data-split-path",
+            "gen-data-split-nul", "gen-data-split-empty"])
     def test_bad_gram_and_concentration_config_exits_2(self, tmp_path, capsys,
                                                        verb, payload):
         cfg = self._write(tmp_path / "bad.json",
@@ -427,14 +432,17 @@ class TestCli:
     @pytest.mark.parametrize("verb, payload", [
         ("train", LEMMA1_FAILS), ("experiment", LEMMA1_FAILS),
         ("gram", {"dataset": "wei", "n": 10, "d": 3}),
+        ("gram", {"dataset": "wei", "n": 10, "d": 3, "mc_samples": 2000}),
         ("concentration", {"dataset": "wei", "n": 10, "d": 3, "D_list": [16, 32],
                            "trials": 3, "mc_samples": 2000}),
         ("gen-data", {"dataset": "wei", "n": 10, "d": 3}),
-    ], ids=["train", "experiment", "gram", "concentration", "gen-data"])
+    ], ids=["train", "experiment", "gram", "gram-mc", "concentration", "gen-data"])
     def test_out_that_is_a_file_exits_2(self, tmp_path, capsys, monkeypatch, verb, payload):
-        def train_nothing(*cell):
-            raise AssertionError("a cell ran before --out was created")
-        monkeypatch.setattr("ptwide.harness.run_single", train_nothing)
+        def compute_nothing(*args, **kwargs):
+            raise AssertionError("work ran before --out was created")
+        for name in ("ptwide.harness.run_single", "ptwide.cli.gram",
+                     "ptwide.cli.gram_limit_mc", "ptwide.diagnostics.gram_limit_mc"):
+            monkeypatch.setattr(name, compute_nothing)
         out = tmp_path / "o"
         out.write_text("a file")
         cfg = self._write(tmp_path / "c.json", payload)
@@ -509,6 +517,30 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
         assert "unknown config keys" not in err
+
+    def test_every_csv_has_crlf_rows_and_fmt_floats(self, tmp_path, capsys):
+        exp = self._write(tmp_path / "exp.json",
+                          {"experiment": "exp1", "d": 4, "n_list": [4], "m": 8,
+                           "seeds": [1, 2], "steps": 10, "record_every": 5, "n_test": 6})
+        gen = self._write(tmp_path / "gen.json", {"dataset": "wei", "n": 5, "d": 3})
+        conc = self._write(tmp_path / "conc.json",
+                           {"dataset": "random_label", "n": 4, "d": 3, "D_list": [16, 32],
+                            "trials": 3, "mc_samples": 2000})
+        runs = {"experiment": [exp, "--no-strict"], "train": [exp, "--no-strict"],
+                "gen-data": [gen], "concentration": [conc]}
+        for verb, (cfg, *flags) in runs.items():
+            assert cli_main([verb, "--config", cfg, "--out", str(tmp_path / verb), *flags]) == 0
+        written = sorted(tmp_path.glob("*/*.csv"))
+        assert {p.parent.name for p in written} == set(runs)
+        for path in written:
+            lines = path.read_bytes().decode().split("\r\n")
+            assert lines[-1] == "" and not any("\n" in ln or "\r" in ln for ln in lines), path
+            for value in ",".join(lines[1:-1]).split(","):
+                try:
+                    parsed = float(value)
+                except ValueError:
+                    continue  # "", "na", "True", "False"
+                assert fmt(parsed) == value, (path, value)
 
     def test_concentration_seed_override(self, tmp_path, capsys):
         # --seed sets the probe's seed too, not only the dataset's

@@ -5,7 +5,19 @@ import pytest
 
 from ptwide.errors import InvalidConfigError, StructuralError
 from ptwide.numkernel import (RngStream, gaussian_matrix, rademacher_vector,
-                              sym_eig_extremes)
+                              sym_eig_extremes, write_csv)
+
+
+class TestWriteCsv:
+    def test_every_value_through_fmt_in_crlf_rows(self, tmp_path):
+        path = tmp_path / "t.csv"
+        rows = [(3, 0.1, np.float64(1 / 3), "", True),
+                (np.int64(-2), 1e300, np.float64(-0.0), "na", False)]
+        write_csv(path, ["i", "x", "y", "empty", "flag"], iter(rows))
+        assert path.read_bytes() == (
+            b"i,x,y,empty,flag\r\n"
+            b"3,0.10000000000000001,0.33333333333333331,,True\r\n"
+            b"-2,1.0000000000000001e+300,-0,na,False\r\n")
 
 
 class TestRngStream:

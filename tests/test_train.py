@@ -600,6 +600,11 @@ class TestRunTraining:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "step,loss,eta_min,test_error"
         assert len(lines) == 1 + len(trace.steps)
+        assert all(line.endswith(",") for line in lines[1:])  # no test set
+        bare = run_training(cfg, TrainConfig(steps=5, record_eta=False), np.ones((2, 2)),
+                            np.zeros(2))
+        trace_to_csv(bare, path)
+        assert all(line.endswith(",,") for line in path.read_text().splitlines()[1:])
 
     def test_config_validation(self):
         with pytest.raises(InvalidConfigError):
