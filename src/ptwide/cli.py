@@ -4,8 +4,9 @@ Verbs: train, experiment, gram, concentration, gen-data. Each takes a JSON
 config via --config and an output directory via --out; --seed overrides the
 config seed(s). Exit code is 0 iff all inequality monitors pass (or
 train/experiment get --no-strict), 1 if one fails, and 2 on a bad config,
-found before --out is made and any work starts. Floats are printed, and
-written to CSV by ``numkernel.write_csv``, in ``%.17g``.
+found before --out is made and any work starts, or on an allocation that
+fails. Floats are printed, and written to CSV by ``numkernel.write_csv``,
+in ``%.17g``.
 
 Under glibc, ``main`` fixes malloc's mmap threshold at its documented
 default of 128 KiB. Left dynamic, glibc raises the threshold to the size of
@@ -160,6 +161,9 @@ def main(argv=None) -> int:
         return handlers[args.verb](args)
     except PtwideError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:      # sizes too large for this machine, not a failed monitor
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

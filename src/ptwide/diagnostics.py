@@ -33,11 +33,16 @@ _KIND_BY_EMBEDDING = {
 
 # Bytes that gram_limit_mc's two (rows, d) draw buffers and its (rows, n)
 # activation buffer share when no chunk is given, so that its memory is set
-# by the shapes and not by a row count. At 8 MiB (17 476 rows at n = d = 20)
-# the benchmark's gram_mc run read a few percent slower than with 100 000
-# rows; at 16 MiB it did not. Each chunk has at least MC_MIN_ROWS rows, so
-# that wide data still draws in runs long enough to pipeline.
-MC_CHUNK_BYTES = 16 * 2**20
+# by the shapes and not by a row count. The draws on the calling thread bound
+# the loop at any chunk size, so a chunk need only outlast one hand-off to
+# the helper; at 2 MiB the activation buffer also stays in a 2 MiB L2 cache
+# through the accumulate. Against 16 MiB, the benchmark's gram_mc read run_s
+# 0.365 vs 0.363 s and peak RSS 40.5 vs 53.8 MiB (medians of 10 alternating
+# pairs). The budget is a constant, not the host's cache size, because the
+# chunk groups the sums and so sets the last bits of G. Each chunk has at
+# least MC_MIN_ROWS rows, so that wide data still draws in runs long enough
+# to pipeline.
+MC_CHUNK_BYTES = 2 * 2**20
 MC_MIN_ROWS = 256
 
 # Largest temporary of active_fraction, which runs at every record step, and
@@ -124,7 +129,7 @@ def gram_limit_mc(activation: ActivationSpec, X: np.ndarray, samples: int,
 
     The draws go into two (chunk, d) buffers in turn and A into one (chunk,
     n) buffer. Without a ``chunk``, the rows are chosen so that these three
-    share MC_CHUNK_BYTES (16 MiB: 34 952 rows at n = d = 20, 6 990 at n = 200,
+    share MC_CHUNK_BYTES (2 MiB: 4 369 rows at n = d = 20, 873 at n = 200,
     d = 50), with a floor of MC_MIN_ROWS rows; memory is then that budget
     plus O(n^2) for any sample count. The draws are the same stream in the
     same order whatever the chunk; only the grouping of the sums, and so

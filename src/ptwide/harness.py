@@ -193,6 +193,8 @@ def parse_experiment_config(raw) -> ExperimentConfig:
             raise InvalidConfigError(f"{key} must be non-empty")
         if len(set(values)) != len(values):
             raise InvalidConfigError(f"{key} repeats a value: {values}")
+    if cfg.n_test < 1:
+        raise InvalidConfigError(f"n_test must be >= 1, not {cfg.n_test}")
     for name in cfg.scalings:
         get_scaling(name)
     if cfg.experiment == "exp3" and cfg.D not in (None, cfg.m):

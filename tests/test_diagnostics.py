@@ -11,6 +11,7 @@ import pytest
 import ptwide.diagnostics as diagnostics_module
 import ptwide.helper as helper_module
 from ptwide.activations import LINEAR, RELU, TANH, leaky_relu
+from ptwide.datasets import gen_random_label
 from ptwide.diagnostics import (ABS_SLACK, ACTIVE_CHUNK_BYTES, MC_CHUNK_BYTES,
                                 active_fraction, concentration_probe, gram, gram_limit_mc,
                                 lemma1_monitor, pl_monitor, shrink_interval,
@@ -163,6 +164,15 @@ class TestGramLimitMc:
                 tracemalloc.stop()
         assert max(peaks) <= MC_CHUNK_BYTES + 10 * n * n * 8 + 2 ** 16
         assert abs(peaks[0] - peaks[1]) <= 2 ** 16
+
+    def test_default_chunk_matches_the_old_default_at_the_bench_shape(self):
+        # gram_mc's shape and seed: the chunk budget regroups the sums only,
+        # far inside the 1e-7 at which the benchmark checks its reference
+        X = gen_random_label(20, 20, 1).X
+        new = gram_limit_mc(RELU, X, 200_000, seed=1)
+        old = gram_limit_mc(RELU, X, 200_000, seed=1, chunk=34_952)
+        np.testing.assert_allclose(new.G, old.G, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(new.stderr, old.stderr, rtol=1e-12, atol=0)
 
     @staticmethod
     def _patch_machine(monkeypatch, cpus, blas_threads):

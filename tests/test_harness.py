@@ -466,7 +466,7 @@ class TestCli:
         {"experiment": "exp3", "d": 3, "depth": 4},
         {"snapshot_steps": [0, 500, -3]}, {"snapshot_steps": [6]},
         {"snapshot_steps": [-1]}, {"n_list": [6, 6]}, {"seeds": [1, 2, 1]},
-        {"scalings": ["ours", "ntk", "ours"]},
+        {"scalings": ["ours", "ntk", "ours"]}, {"n_test": 0}, {"n_test": -5},
     ], ids=["m-type", "seeds-not-list", "delta-type", "snapshot-steps-type",
             "n_list-fractional", "m-fractional", "seeds-bool", "steps-fractional",
             "delta-bool", "c_hat-bool", "delta-nan", "c_hat-inf", "delta-minus-inf-string",
@@ -475,7 +475,7 @@ class TestCli:
             "seeds-negative-second", "identity-with-D", "identity-with-depth",
             "quadratic-with-D", "random_feature-with-depth", "snapshot-steps-outside",
             "snapshot-step-past-steps", "snapshot-step-negative", "n_list-repeated",
-            "seeds-repeated", "scalings-repeated"])
+            "seeds-repeated", "scalings-repeated", "n_test-zero", "n_test-negative"])
     def test_bad_experiment_config_exits_2(self, tmp_path, capsys, verb, payload):
         cfg = self._write(tmp_path / "bad.json",
                           {"experiment": "exp1", "d": 6, "n_list": [4], "m": 8,
@@ -485,6 +485,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
         assert not (tmp_path / "o").exists()  # rejected before any cell ran
+
+    def test_n_test_below_one_names_n_test(self, tmp_path, capsys):
+        cfg = self._write(tmp_path / "bad.json",
+                          {"experiment": "exp1", "d": 6, "n_list": [4], "m": 8,
+                           "seeds": [1], "steps": 5, "n_test": 0})
+        assert cli_main(["experiment", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: n_test must be >= 1, not 0\n"
+
+    def test_failed_allocation_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a stand-in for a D too large to allocate; a real one could wake the OOM killer
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 610. GiB")
+        monkeypatch.setattr("ptwide.cli.concentration_probe", too_large)
+        cfg = self._write(tmp_path / "c.json", {"dataset": "wei", "n": 10, "d": 3,
+                                                "D_list": [4_096_000_000]})
+        rc = cli_main(["concentration", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: Unable to allocate 610. GiB\n"
 
     @pytest.mark.parametrize("verb, key", [(verb, f.name) for verb, cls in VERB_SCHEMAS.items()
                                            for f in fields(cls)])
