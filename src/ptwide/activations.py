@@ -2,8 +2,7 @@
 
 Each activation carries an open interval on which |sigma'| is bounded
 below by ``k_deriv``. Half-infinite regions (relu, linear) are replaced
-by a finite surrogate, which is what the active-fraction diagnostics use;
-the surrogate is recorded in every report.
+by a finite surrogate, which is what the active-fraction diagnostics use.
 
 ``fn(u, out=None)`` returns sigma(u) as a fresh array, or writes it into
 ``out`` (which may be ``u`` itself) and returns ``out``; both give the same

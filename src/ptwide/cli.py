@@ -42,6 +42,8 @@ def _config(cls, args):
         raise InvalidConfigError(f"cannot read config {args.config}: {exc.strerror}") from None
     except ValueError as exc:
         raise InvalidConfigError(f"config {args.config} is not valid JSON: {exc}") from None
+    if args.seed is not None and args.seed < 0:
+        raise InvalidConfigError(f"--seed must be >= 0, not {args.seed}")
     if cls is harness.ExperimentConfig:
         cfg = harness.parse_experiment_config(raw)
         cfg.seeds = cfg.seeds if args.seed is None else [args.seed]

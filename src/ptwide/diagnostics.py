@@ -36,12 +36,10 @@ _KIND_BY_EMBEDDING = {
 # by the shapes and not by a row count. The draws on the calling thread bound
 # the loop at any chunk size, so a chunk need only outlast one hand-off to
 # the helper; at 2 MiB the activation buffer also stays in a 2 MiB L2 cache
-# through the accumulate. Against 16 MiB, the benchmark's gram_mc read run_s
-# 0.365 vs 0.363 s and peak RSS 40.5 vs 53.8 MiB (medians of 10 alternating
-# pairs). The budget is a constant, not the host's cache size, because the
-# chunk groups the sums and so sets the last bits of G. Each chunk has at
-# least MC_MIN_ROWS rows, so that wide data still draws in runs long enough
-# to pipeline.
+# through the accumulate. The budget is a constant, not the host's cache
+# size, because the chunk groups the sums and so sets the last bits of G.
+# Each chunk has at least MC_MIN_ROWS rows, so that wide data still draws in
+# runs long enough to pipeline.
 MC_CHUNK_BYTES = 2 * 2**20
 MC_MIN_ROWS = 256
 
@@ -82,7 +80,6 @@ class TheoryConstants:
     kappa: float
     k_const: float
     rate_exponent: float
-    interval_used: tuple[float, float]
     degenerate: bool = False
 
 
@@ -270,14 +267,12 @@ def theory_constants(interval: tuple[float, float], g_min: float, g_max: float,
     lo, hi = interval
     if lambda_min <= 0:
         return TheoryConstants(kappa=float("nan"), k_const=float("nan"),
-                               rate_exponent=float("nan"), interval_used=interval,
-                               degenerate=True)
+                               rate_exponent=float("nan"), degenerate=True)
     kappa = 9.0 * lambda_max * (hi - lo) / (2.0 * lambda_min * k_sigma_prime)
     k_const = (hi - lo) / (6.0 * math.sqrt(2.0 * math.pi) * g_max) * math.exp(
         -max(abs(lo), abs(hi)) / (g_min ** 2))
     rate_exponent = 2.0 ** (1.0 / 3.0) * lambda_min * k_sigma_prime ** 2 * k_const * c_hat ** 2
-    return TheoryConstants(kappa=kappa, k_const=k_const,
-                           rate_exponent=rate_exponent, interval_used=interval)
+    return TheoryConstants(kappa=kappa, k_const=k_const, rate_exponent=rate_exponent)
 
 
 @dataclass
@@ -321,15 +316,18 @@ def pl_monitor(config: ModelConfig, params: Parameters, X: np.ndarray,
                y: np.ndarray, gram_report: GramReport) -> PLReport:
     """Loss-derivative chain at a parameter point.
 
-    exact = -(c^2/m) sum_i s_i^T G s_i with s_i[a] = r_a sigma'(h_ia);
-    bound = -(c^2 lambda_min / m) sum_ia s_ia^2. The inequality
+    exact = dL/dt under gradient flow = -(c^2/w) sum_i s_i^T G s_i with
+    s_i[a] = r_a sigma'(h_ia) and w = m^(2p - lr) D^(2q - 1) (m under ours, ntk
+    and mf); bound = -(c^2 lambda_min / w) sum_ia s_ia^2. The inequality
     exact <= bound <= 0 is algebraic at any parameter point.
     """
     state = forward(config, params, X, y)
     S = config.activation.deriv(state.H) * state.residual[None, :]   # (m, n)
-    c2 = params.c_hat ** 2
-    exact = -(c2 / config.m) * float(np.sum((S @ gram_report.G) * S))
-    bound = -(c2 * gram_report.lambda_min / config.m) * float(np.sum(S * S))
+    sc = config.scaling
+    w = (config.m ** (2 * sc.output_exponent - sc.lr_exponent)
+         * config.D ** (2 * sc.hidden_exponent - 1))
+    exact = -(config.c_hat ** 2 / w) * float(np.sum((S @ gram_report.G) * S))
+    bound = -(config.c_hat ** 2 * gram_report.lambda_min / w) * float(np.sum(S * S))
     slack = ABS_SLACK + REL_SLACK * abs(bound)
     passed = (exact <= bound + slack) and (bound <= slack)
     return PLReport(exact_dldt=exact, bound=bound, passed=passed)

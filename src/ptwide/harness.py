@@ -2,8 +2,9 @@
 
 Executes a grid of (n, seed, scaling) runs, evaluates the rate fit and the
 inequality monitors per run, and writes CSV/JSON artifacts: a per-run trace,
-a fixed-schema summary table, seed-averaged curves, and the hidden-feature
-scatter data for two probe inputs at steps {0, mid, final}.
+a fixed-schema summary table, seed-averaged curves, and at each snapshot step
+the hidden features h_i of the first training point (h_train, the snapshot's
+H[:, 0]) and of the first test point.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ SUMMARY_COLUMNS = ["experiment", "scaling", "n", "m", "seed", "final_loss",
                    "test_error", "rate_slope", "rate_r2", "lemma1_pass", "pl_pass"]
 
 RATE_FLOOR = 1e-8
+Seed = typing.NewType("Seed", int)   # the annotation of a config key that seeds a stream
 
 
 def parse(cls, raw):
@@ -47,9 +49,9 @@ def parse(cls, raw):
         if f.name in raw:
             try:
                 values[f.name] = cast_for(hints[f.name])(raw[f.name])
-            except (TypeError, ValueError):
+            except (TypeError, ValueError) as exc:
                 raise InvalidConfigError(f"config key {f.name!r} has an invalid value "
-                                         f"{raw[f.name]!r}") from None
+                                         f"{raw[f.name]!r}: {exc}") from None
         elif f.default is MISSING and f.default_factory is MISSING:
             raise InvalidConfigError(f"config is missing required key {f.name!r}")
     return cls(**values)
@@ -68,6 +70,14 @@ def integer(value) -> int:
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise TypeError(f"expected an integer, got {value!r}")
     return int(value)
+
+
+def seed_value(value) -> int:
+    """The cast for a ``Seed`` config value: ``integer``, but never negative."""
+    value = integer(value)
+    if value < 0:
+        raise ValueError("a seed must be >= 0")
+    return value
 
 
 def real(value) -> float:
@@ -91,15 +101,15 @@ def list_of(cast):
 
 
 def cast_for(hint):
-    """The cast for a config field annotated ``hint``: ``str``, ``int``, ``float``,
-    ``list[T]``, or ``T | None``, under which null means the key was not given."""
+    """The cast for a config field annotated ``hint``: ``str``, ``int``, ``Seed``,
+    ``float``, ``list[T]``, or ``T | None``, under which null means the key was not given."""
     args = typing.get_args(hint)
     if type(None) in args:
         cast = cast_for(*(a for a in args if a is not type(None)))
         return lambda value: None if value is None else cast(value)
     if typing.get_origin(hint) is list:
         return list_of(cast_for(*args))
-    return {str: text, int: integer, float: real}[hint]
+    return {str: text, int: integer, Seed: seed_value, float: real}[hint]
 
 
 @dataclass
@@ -108,9 +118,9 @@ class DatasetConfig:
     dataset: str
     n: int
     d: int
-    seed: int = 0
+    seed: Seed = 0
     split: str = "train"
-    teacher_seed: int = 999
+    teacher_seed: Seed = 999
 
 
 @dataclass(kw_only=True)
@@ -122,7 +132,7 @@ class GramConfig(DatasetConfig):
     embedding: str | None = None
     D: int | None = None
     depth: int | None = None
-    embedding_seed: int = 0
+    embedding_seed: Seed = 0
     mc_samples: int = 0
 
     def __post_init__(self):
@@ -160,7 +170,7 @@ class ExperimentConfig:
     """``train`` and ``experiment``: a (scalings x n_list x seeds) grid. A key with
     no default on its field or in its experiment's row of PRESETS is required."""
     n_list: list[int]
-    seeds: list[int]
+    seeds: list[Seed]
     dataset: str
     embedding: str
     activation: str
@@ -176,7 +186,7 @@ class ExperimentConfig:
     record_every: int = 10
     snapshot_steps: list[int] | None = None
     n_test: int = 500
-    teacher_seed: int = 999
+    teacher_seed: Seed = 999
 
 
 def parse_experiment_config(raw) -> ExperimentConfig:
@@ -304,7 +314,6 @@ def make_out_dir(path) -> None:
 def run_single(cfg: ExperimentConfig, scaling_name: str, n: int, seed: int) -> RunResult:
     """One grid cell: generate data, train, evaluate monitors and rate fit."""
     model_cfg, tc, train_data, test_data = _cell(cfg, scaling_name, n, seed)
-    probe = np.vstack([train_data.X[0], test_data.X[0]])
 
     params = init_params(model_cfg)
     gram_report = gram(model_cfg.embedding, params.embedding_weights, train_data.X)
@@ -312,7 +321,7 @@ def run_single(cfg: ExperimentConfig, scaling_name: str, n: int, seed: int) -> R
     metric = lambda f, t: test_error(f, t, cfg.dataset)
     trace = run_training(model_cfg, tc, train_data.X, train_data.y,
                          test_X=test_data.X, test_y=test_data.y,
-                         test_metric=metric, init=params, probe_X=probe)
+                         test_metric=metric, init=params)
     del params  # the initial (m, D) W; pl_monitor needs only the final one
     final_params, trace.final_params = trace.final_params, None  # no caller reads it
 

@@ -79,7 +79,6 @@ class Parameters:
     W: np.ndarray                    # (m, D), trainable
     c: np.ndarray                    # (m,), fixed signs times c_hat
     embedding_weights: EmbeddingWeights
-    c_hat: float
 
 
 @dataclass(frozen=True)
@@ -106,7 +105,7 @@ def init_params(config: ModelConfig) -> Parameters:
     else:
         W = gaussian_matrix(RngStream(config.seed, "w"), config.m, config.D)
         c = rademacher_vector(RngStream(config.seed, "c"), config.m, config.c_hat)
-    return Parameters(W=W, c=c, embedding_weights=ew, c_hat=config.c_hat)
+    return Parameters(W=W, c=c, embedding_weights=ew)
 
 
 def forward(config: ModelConfig, params: Parameters, X: np.ndarray,

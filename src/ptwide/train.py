@@ -122,7 +122,6 @@ class TrainingTrace:
     snapshots: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     probe_snapshots: dict[int, np.ndarray] = field(default_factory=dict)
     eta_tilde0: float = float("nan")
-    c_hat: float = float("nan")
     monotone_violations: list[int] = field(default_factory=list)
     diverged: bool = False
     final_params: Parameters | None = None
@@ -133,8 +132,7 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
                  test_X: np.ndarray | None = None,
                  test_y: np.ndarray | None = None,
                  test_metric: Callable[[np.ndarray, np.ndarray], float] | None = None,
-                 init: Parameters | None = None,
-                 probe_X: np.ndarray | None = None) -> TrainingTrace:
+                 init: Parameters | None = None) -> TrainingTrace:
     """Train by full-batch GD and record losses, active fractions, snapshots.
 
     Divergence (loss above 1e12 or non-finite values) aborts with a partial
@@ -185,15 +183,9 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
                 else (0, n_test))
         test_blocks = [(lo, hi, np.empty(m * min(TEST_TILE, hi - lo)))
                        for lo, hi in zip(cols, cols[1:])]
-
-    has_probe = probe_X is not None
-    if has_probe:
-        Phi_p = embed_batch(config.embedding, params.embedding_weights, probe_X)
-        H_probe0 = alpha * (params.W @ Phi_p.T)
-        Kprobe = k_scale * (Phi @ Phi_p.T)
     del Phi     # embedded again for the final W
 
-    trace = TrainingTrace(c_hat=params.c_hat)
+    trace = TrainingTrace()
     Pacc = np.zeros_like(H)
     sig, P = np.empty_like(H), np.empty_like(H)
     prev_loss = None
@@ -249,8 +241,9 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
         # H at step 0 is built again after the loop, from W and Phi.
         H_s = None if step == 0 else H if step == train_config.steps else H.copy()
         trace.snapshots[step] = (H_s, f)
-        if has_probe:
-            trace.probe_snapshots[step] = H_probe0 - Pacc @ Kprobe
+        if has_test:
+            trace.probe_snapshots[step] = np.stack(
+                (H[:, 0], H_test0[:, 0] - Pacc @ Ktest[:, 0]), axis=1)
 
     def in_blocks(fn, fn_blocks) -> None:
         """fn(block) for each block: with two blocks, the second goes to the
@@ -299,8 +292,7 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
     W_final *= lam * delta * beta * alpha
     np.subtract(params.W, W_final, out=W_final)
     trace.final_params = Parameters(W=W_final, c=c,
-                                    embedding_weights=params.embedding_weights,
-                                    c_hat=params.c_hat)
+                                    embedding_weights=params.embedding_weights)
     return trace
 
 

@@ -20,10 +20,10 @@ def _identity_spec(d):
     return EmbeddingSpec(kind="identity", d=d, D=d)
 
 
-def _manual_params(W, c, c_hat=1.0):
+def _manual_params(W, c):
     return Parameters(W=np.asarray(W, dtype=np.float64),
                       c=np.asarray(c, dtype=np.float64),
-                      embedding_weights=EmbeddingWeights(), c_hat=c_hat)
+                      embedding_weights=EmbeddingWeights())
 
 
 def loss(f_vals: np.ndarray, y: np.ndarray) -> float:
@@ -53,7 +53,7 @@ def gd_step(config: ModelConfig, params: Parameters, grad: np.ndarray,
         raise InvalidConfigError(f"grad shape {grad.shape} != W shape {params.W.shape}")
     step = config.m ** config.scaling.lr_exponent * delta
     return Parameters(W=params.W - step * grad, c=params.c,
-                      embedding_weights=params.embedding_weights, c_hat=params.c_hat)
+                      embedding_weights=params.embedding_weights)
 
 
 def feature_movement(H_a: np.ndarray, H_b: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from ptwide.diagnostics import (ABS_SLACK, ACTIVE_CHUNK_BYTES, MC_CHUNK_BYTES,
                                 theory_constants)
 from ptwide.embedding import EmbeddingSpec, EmbeddingWeights, build_embedding
 from ptwide.errors import InvalidConfigError, StructuralError
-from ptwide.model import OURS, ModelConfig, forward, init_params
+from ptwide.model import MF, NTK, OURS, ModelConfig, ScalingVariant, forward, init_params
 from ptwide.numkernel import RngStream
 from ptwide.train import TrainConfig, run_training
 from oracle import _identity_spec, feature_movement, gd_step, grad_W, loss
@@ -424,9 +424,9 @@ class TestLemma1Monitor:
 
 
 class TestPlMonitor:
-    def _setup(self, n, d=4, m=8, seed=0):
+    def _setup(self, n, d=4, m=8, seed=0, scaling=OURS):
         cfg = ModelConfig(embedding=_identity_spec(d), activation=TANH,
-                          scaling=OURS, m=m, seed=seed)
+                          scaling=scaling, m=m, seed=seed)
         params = init_params(cfg)
         rng = np.random.default_rng(seed + 50)
         X, y = rng.standard_normal((n, d)), rng.standard_normal(n)
@@ -453,10 +453,13 @@ class TestPlMonitor:
         assert out.exact_dldt <= out.bound + 1e-9
         assert out.bound <= 1e-9
 
-    def test_exact_matches_euler_difference(self):
-        # exact_dldt is dL/dt under gradient flow; a tiny GD step with the
-        # ours scaling integrates it, so (L1 - L0) / delta matches to O(delta)
-        cfg, params, X, y, rep = self._setup(4, seed=3)
+    @pytest.mark.parametrize("scaling", [OURS, NTK, MF, ScalingVariant("x", 1.0, 0.5, 0.5)],
+                             ids=["ours", "ntk", "mf", "custom"])
+    def test_exact_matches_euler_difference(self, scaling):
+        # exact_dldt is dL/dt under gradient flow; a tiny GD step integrates
+        # it, so (L1 - L0) / delta matches to O(delta). The custom exponents
+        # give a prefactor other than c_hat^2 / m.
+        cfg, params, X, y, rep = self._setup(4, d=8, seed=3, scaling=scaling)
         out = pl_monitor(cfg, params, X, y, rep)
         state = forward(cfg, params, X, y)
         l0 = 0.5 * float(state.residual @ state.residual)

@@ -16,8 +16,8 @@ from ptwide.cli import main as cli_main
 from ptwide.embedding import EmbeddingSpec
 from ptwide.errors import InvalidConfigError
 from ptwide.harness import (PRESETS, SUMMARY_COLUMNS, ConcentrationConfig, DatasetConfig,
-                            ExperimentConfig, GramConfig, parse, parse_experiment_config,
-                            rate_fit, run_experiment, run_single)
+                            ExperimentConfig, GramConfig, cells, parse,
+                            parse_experiment_config, rate_fit, run_experiment, run_single)
 from ptwide.harness import test_error as eval_error
 from ptwide.model import OURS, ModelConfig, Parameters
 from ptwide.embedding import EmbeddingWeights
@@ -63,7 +63,7 @@ class TestRateFit:
         cfg = ModelConfig(embedding=EmbeddingSpec(kind="identity", d=1, D=1),
                           activation=LINEAR, scaling=OURS, m=1)
         params = Parameters(W=np.array([[0.3]]), c=np.array([1.0]),
-                            embedding_weights=EmbeddingWeights(), c_hat=1.0)
+                            embedding_weights=EmbeddingWeights())
         trace = run_training(cfg, TrainConfig(steps=40, delta=delta,
                                               record_eta=False),
                              np.array([[x]]), np.array([1.0]), init=params)
@@ -232,6 +232,24 @@ class TestRunExperiment:
         assert lines[0] == "step,neuron,h_train,h_test"
         # m neurons at each of the three default snapshot steps
         assert len(lines) == 1 + 3 * small_cfg.m
+
+    def test_features_h_train_is_the_snapshot_column(self, tmp_path):
+        # h_train is read from the loop's own H, so at every snapshot step of
+        # every cell it parses back to the bits of the snapshot's H[:, 0]
+        cfg = parse_experiment_config({
+            "experiment": "exp1", "d": 6, "n_list": [4, 8], "m": 32,
+            "seeds": [1, 2], "scalings": ["ours", "ntk"], "steps": 40,
+            "delta": 0.5, "record_every": 5, "n_test": 20})
+        run_experiment(cfg, out_dir=str(tmp_path))
+        for scaling, n, seed in cells(cfg):
+            tag = f"exp1_{scaling}_n{n}_m32_s{seed}"
+            with open(tmp_path / f"features_{tag}.csv", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert sorted({int(r["step"]) for r in rows}) == [0, 20, 40]
+            with np.load(tmp_path / f"snaps_{tag}.npz") as snaps:
+                for step in (0, 20, 40):
+                    h = np.array([float(r["h_train"]) for r in rows if int(r["step"]) == step])
+                    assert h.tobytes() == snaps[f"H_{step}"][:, 0].tobytes()
 
 
 VERB_SCHEMAS = {"gen-data": DatasetConfig, "gram": GramConfig,
@@ -492,6 +510,32 @@ class TestCli:
                            "seeds": [1], "steps": 5, "n_test": 0})
         assert cli_main(["experiment", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == "error: n_test must be >= 1, not 0\n"
+
+    @pytest.mark.parametrize("verb, payload, flags, named", [
+        ("gen-data", {"seed": -1}, [], "config key 'seed'"),
+        ("gen-data", {"teacher_seed": -1}, [], "config key 'teacher_seed'"),
+        ("concentration", {"D_list": [16, 32], "seed": -1}, [], "config key 'seed'"),
+        ("gram", {"embedding_seed": -1}, [], "config key 'embedding_seed'"),
+        ("gram", {"embedding_seed": -1, "mc_samples": 2000}, [],
+         "config key 'embedding_seed'"),
+        ("gen-data", {}, ["--seed", "-3"], "--seed"),
+        ("experiment", {"teacher_seed": -1}, [], "config key 'teacher_seed'"),
+        ("experiment", {"seeds": [-2]}, [], "config key 'seeds'"),
+        ("train", {}, ["--seed", "-3"], "--seed"),
+    ], ids=["gen-data-seed", "gen-data-teacher_seed", "concentration-seed",
+            "gram-embedding_seed", "gram-mc-embedding_seed", "gen-data-seed-flag",
+            "experiment-teacher_seed", "experiment-seeds", "train-seed-flag"])
+    def test_negative_seed_names_its_key(self, tmp_path, capsys, verb, payload, flags, named):
+        base = ({"experiment": "exp1", "d": 6, "n_list": [4], "m": 8, "seeds": [1],
+                 "steps": 5} if verb in ("train", "experiment")
+                else {"dataset": "quadratic_teacher", "n": 10, "d": 3})
+        cfg = self._write(tmp_path / "bad.json", {**base, **payload})
+        rc = cli_main([verb, "--config", cfg, "--out", str(tmp_path / "o"), *flags])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert named in err and "must be >= 0" in err
+        assert not (tmp_path / "o").exists()
 
     def test_failed_allocation_exits_2(self, tmp_path, capsys, monkeypatch):
         # a stand-in for a D too large to allocate; a real one could wake the OOM killer

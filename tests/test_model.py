@@ -140,8 +140,7 @@ class TestForward:
         X = np.random.default_rng(4).standard_normal((5, 3))
         perm = np.random.default_rng(5).permutation(6)
         permuted = Parameters(W=params.W[perm], c=params.c[perm],
-                              embedding_weights=params.embedding_weights,
-                              c_hat=params.c_hat)
+                              embedding_weights=params.embedding_weights)
         f1 = forward(cfg, params, X).f
         f2 = forward(cfg, permuted, X).f
         np.testing.assert_allclose(f1, f2, atol=1e-14)
@@ -155,8 +154,7 @@ class TestSignFlipSymmetry:
                           scaling=OURS, m=8, seed=7)
         params = init_params(cfg)
         flipped = Parameters(W=params.W.copy(), c=-params.c,
-                             embedding_weights=params.embedding_weights,
-                             c_hat=params.c_hat)
+                             embedding_weights=params.embedding_weights)
         rng = np.random.default_rng(6)
         X, y = rng.standard_normal((4, 3)), rng.standard_normal(4)
         tc = TrainConfig(steps=10, delta=0.5, record_eta=False)

@@ -488,14 +488,16 @@ class TestRunTraining:
         W0 = params.W.copy()
         rng = np.random.default_rng(17)
         X, y = rng.standard_normal((5, 3)), rng.standard_normal(5)
-        probe_X = rng.standard_normal((4, 3))
+        test_X, test_y = rng.standard_normal((4, 3)), rng.standard_normal(4)
         trace = run_training(cfg, TrainConfig(steps=20, delta=0.5,
                                               snapshot_steps=(0, 10, 20)),
-                             X, y, init=params, probe_X=probe_X)
+                             X, y, test_X=test_X, test_y=test_y, init=params)
         np.testing.assert_array_equal(trace.snapshots[0][0],
                                       forward(cfg, params, X).H)
-        np.testing.assert_array_equal(trace.probe_snapshots[0],
-                                      forward(cfg, params, probe_X).H)
+        np.testing.assert_array_equal(
+            trace.probe_snapshots[0],
+            np.stack((forward(cfg, params, X).H[:, 0],
+                      forward(cfg, params, test_X).H[:, 0]), axis=1))
         np.testing.assert_array_equal(params.W, W0)
         assert not np.array_equal(trace.snapshots[20][0], trace.snapshots[0][0])
 
@@ -565,7 +567,7 @@ class TestRunTraining:
                 Ha, fa = trace.snapshots[a]
                 Hb, fb = trace.snapshots[b]
                 movement = np.abs(Ha - Hb).mean(axis=0)
-                bound = np.abs(fa - fb) / (trace.c_hat * lip)
+                bound = np.abs(fa - fb) / (cfg.c_hat * lip)
                 assert np.all(movement >= bound - 1e-12)
 
     def test_test_error_tracking(self):
