@@ -4,9 +4,9 @@ Verbs: train, experiment, gram, concentration, gen-data. Each takes a JSON
 config via --config and an output directory via --out; --seed overrides the
 config seed(s). Exit code is 0 iff all inequality monitors pass (or
 train/experiment get --no-strict), 1 if one fails, and 2 on a bad config,
-found before --out is made and any work starts, or on an allocation that
-fails. Floats are printed, and written to CSV by ``numkernel.write_csv``,
-in ``%.17g``.
+found before --out is made and any work starts, or on a size too large to
+allocate or to index. Floats are printed, and written to CSV by
+``numkernel.write_csv``, in ``%.17g``.
 
 Under glibc, ``main`` fixes malloc's mmap threshold at its documented
 default of 128 KiB. Left dynamic, glibc raises the threshold to the size of
@@ -130,6 +130,8 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
+# How numpy's ValueErrors for a size past its index range begin; none allocates.
+NUMPY_SIZE_ERRORS = ("array is too big;", "Maximum allowed dimension exceeded")
 M_MMAP_THRESHOLD = -3      # mallopt's parameter number in glibc's malloc.h
 MMAP_THRESHOLD = 128 * 1024
 
@@ -164,7 +166,9 @@ def main(argv=None) -> int:
     except PtwideError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MemoryError as exc:      # sizes too large for this machine, not a failed monitor
+    except (MemoryError, ValueError) as exc:  # a size too large for the machine or numpy
+        if isinstance(exc, ValueError) and not str(exc).startswith(NUMPY_SIZE_ERRORS):
+            raise   # a ValueError of the program, not of a size
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 

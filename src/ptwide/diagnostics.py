@@ -316,18 +316,14 @@ def pl_monitor(config: ModelConfig, params: Parameters, X: np.ndarray,
                y: np.ndarray, gram_report: GramReport) -> PLReport:
     """Loss-derivative chain at a parameter point.
 
-    exact = dL/dt under gradient flow = -(c^2/w) sum_i s_i^T G s_i with
-    s_i[a] = r_a sigma'(h_ia) and w = m^(2p - lr) D^(2q - 1) (m under ours, ntk
-    and mf); bound = -(c^2 lambda_min / w) sum_ia s_ia^2. The inequality
-    exact <= bound <= 0 is algebraic at any parameter point.
+    exact = dL/dt under gradient flow = -k sum_i s_i^T G s_i with s_i[a] =
+    r_a sigma'(h_ia) and k = ``config.flow_prefactor``; bound = -k lambda_min
+    sum_ia s_ia^2. exact <= bound <= 0 is algebraic at any parameter point.
     """
     state = forward(config, params, X, y)
     S = config.activation.deriv(state.H) * state.residual[None, :]   # (m, n)
-    sc = config.scaling
-    w = (config.m ** (2 * sc.output_exponent - sc.lr_exponent)
-         * config.D ** (2 * sc.hidden_exponent - 1))
-    exact = -(config.c_hat ** 2 / w) * float(np.sum((S @ gram_report.G) * S))
-    bound = -(config.c_hat ** 2 * gram_report.lambda_min / w) * float(np.sum(S * S))
+    exact = -config.flow_prefactor * float(np.sum((S @ gram_report.G) * S))
+    bound = -(config.flow_prefactor * gram_report.lambda_min) * float(np.sum(S * S))
     slack = ABS_SLACK + REL_SLACK * abs(bound)
     passed = (exact <= bound + slack) and (bound <= slack)
     return PLReport(exact_dldt=exact, bound=bound, passed=passed)

@@ -66,12 +66,21 @@ class ModelConfig:
             raise InvalidConfigError(f"{self.scaling.name} scaling requires D == m")
 
     @property
-    def d(self) -> int:
-        return self.embedding.d
-
-    @property
     def D(self) -> int:
         return self.embedding.D
+
+    @property
+    def factors(self) -> tuple[float, float, float]:
+        """The scaling's (beta, alpha, lam) = (m^-p, D^-q, m^lr)."""
+        sc, m = self.scaling, self.m
+        return m ** -sc.output_exponent, self.D ** -sc.hidden_exponent, m ** sc.lr_exponent
+
+    @property
+    def flow_prefactor(self) -> float:
+        """c_hat^2 m^(lr-2p) D^(1-2q): dL/dt's factor under gradient flow (c_hat^2 / m)."""
+        sc = self.scaling
+        return self.c_hat ** 2 / (self.m ** (2 * sc.output_exponent - sc.lr_exponent)
+                                  * self.D ** (2 * sc.hidden_exponent - 1))
 
 
 @dataclass(frozen=True)
@@ -108,15 +117,22 @@ def init_params(config: ModelConfig) -> Parameters:
     return Parameters(W=W, c=c, embedding_weights=ew)
 
 
+def preactivations(config: ModelConfig, W: np.ndarray, Phi: np.ndarray) -> np.ndarray:
+    """H = alpha W Phi^T (m, n) of embedded inputs Phi (n, D), scaled in place."""
+    H = W @ Phi.T
+    H *= config.factors[1]
+    return H
+
+
 def forward(config: ModelConfig, params: Parameters, X: np.ndarray,
             y: np.ndarray | None = None) -> ForwardState:
     """Evaluate the model on a data batch (n, d)."""
     Phi = embed_batch(config.embedding, params.embedding_weights, X)  # (n, D)
-    H = config.D ** (-config.scaling.hidden_exponent) * (params.W @ Phi.T)  # (m, n)
+    H = preactivations(config, params.W, Phi)
     if not np.all(np.isfinite(H)):
         i, a = np.argwhere(~np.isfinite(H))[0]
         raise NumericError(f"non-finite pre-activation at neuron {i}, data point {a}")
-    f = config.m ** (-config.scaling.output_exponent) * (params.c @ config.activation.fn(H))
+    f = config.factors[0] * (params.c @ config.activation.fn(H))
     if not np.all(np.isfinite(f)):
         a = int(np.argwhere(~np.isfinite(f))[0])
         raise NumericError(f"non-finite output at data point {a}")

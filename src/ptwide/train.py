@@ -58,7 +58,7 @@ product over the 252 columns is not bit-equal to that over its tiles.
 f_t does not depend on the helper or on the CPU or BLAS thread count.
 Phi (n, D) is dropped once the kernels exist and embedded again for the
 final W. No snapshot copies H at step 0: that H is built again after the
-loop, by the same product alpha (W @ Phi^T) from the same W and Phi, so
+loop, by the same ``model.preactivations`` from the same W and Phi, so
 the loop's live set carries the copy of c in its place. The snapshot of
 the final step keeps H itself. The step and test-set buffers are released
 before the (m, D) final W is built, so that W does not add to the loop's
@@ -77,7 +77,7 @@ from .diagnostics import active_fraction, shrink_interval
 from .embedding import embed_batch
 from .errors import InvalidConfigError
 from .helper import Helper
-from .model import ModelConfig, Parameters, init_params
+from .model import ModelConfig, Parameters, init_params, preactivations
 from .numkernel import write_csv
 
 DIVERGENCE_THRESHOLD = 1e12
@@ -152,15 +152,12 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
     params = init if init is not None else init_params(config)
 
     sigma, value_and_deriv = config.activation.fn, config.activation.value_and_deriv
-    m, D = config.m, config.D
-    beta = m ** (-config.scaling.output_exponent)
-    alpha = D ** (-config.scaling.hidden_exponent)
-    lam = m ** config.scaling.lr_exponent
+    m = config.m
+    beta, alpha, lam = config.factors
     delta = train_config.delta
 
     Phi = embed_batch(config.embedding, params.embedding_weights, X)      # (n, D)
-    H = params.W @ Phi.T                                                  # (m, n)
-    H *= alpha
+    H = preactivations(config, params.W, Phi)                             # (m, n)
     # Kernel of the H-space recursion: H <- H - P (lam d beta a^2 Phi Phi^T)
     k_scale = lam * delta * beta * alpha * alpha
     Kmat = k_scale * (Phi @ Phi.T)
@@ -170,8 +167,7 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
     test_blocks = []
     if has_test:
         Phi_t = embed_batch(config.embedding, params.embedding_weights, test_X)
-        H_test0 = params.W @ Phi_t.T
-        H_test0 *= alpha
+        H_test0 = preactivations(config, params.W, Phi_t)
         Ktest = k_scale * (Phi @ Phi_t.T)
         del Phi_t
         if test_metric is None:
@@ -285,9 +281,7 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
     H = sig = P = c_rows = blocks = test_blocks = H_test0 = Ktest = None
     Phi = embed_batch(config.embedding, params.embedding_weights, X)
     if 0 in trace.snapshots:
-        H0 = params.W @ Phi.T
-        H0 *= alpha
-        trace.snapshots[0] = (H0, trace.snapshots[0][1])
+        trace.snapshots[0] = (preactivations(config, params.W, Phi), trace.snapshots[0][1])
     W_final = Pacc @ Phi
     W_final *= lam * delta * beta * alpha
     np.subtract(params.W, W_final, out=W_final)

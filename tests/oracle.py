@@ -7,6 +7,8 @@ forward pass per step. None of it is library API; nothing at runtime calls
 it.
 """
 
+import math
+
 import numpy as np
 
 from ptwide.activations import TANH
@@ -101,3 +103,12 @@ def _check_kernel_path_on(cfg, X, y, delta):
                                rtol=1e-9, atol=1e-12)
     np.testing.assert_allclose(trace.final_params.W, params.W,
                                rtol=1e-9, atol=1e-12)
+
+
+def relu_closed_form_kernel(saa, sbb, sab):
+    """Gaussian expectation of relu(u) relu(v): the arc-cosine formula."""
+    denom = math.sqrt(saa * sbb)
+    rho = min(1.0, max(-1.0, sab / denom))
+    theta = math.acos(rho)
+    return denom / (2.0 * math.pi) * (math.sin(theta)
+                                      + (math.pi - theta) * math.cos(theta))

@@ -10,7 +10,6 @@ criteria test kernels directly.
 
 import functools
 import json
-import math
 import pathlib
 import time
 
@@ -24,7 +23,7 @@ from ptwide.harness import (cells, check_grid, parse_experiment_config, run_expe
                             run_single)
 from ptwide.model import (MF, NTK, OURS, ModelConfig, Parameters, forward, get_scaling,
                           init_params)
-from oracle import _identity_spec, feature_movement, grad_W, loss
+from oracle import _identity_spec, feature_movement, grad_W, loss, relu_closed_form_kernel
 
 CLAIMS = pathlib.Path(__file__).resolve().parent.parent / "configs" / "claims"
 
@@ -232,14 +231,6 @@ def test_criterion_7_gram_concentration(mc_reference):
            f"deviations {[round(v, 4) for v in devs]}, factors "
            f"{[round(f, 2) for f in factors]}, {elapsed:.0f}s")
     assert ok
-
-
-def relu_closed_form_kernel(saa, sbb, sab):
-    denom = math.sqrt(saa * sbb)
-    rho = min(1.0, max(-1.0, sab / denom))
-    theta = math.acos(rho)
-    return denom / (2.0 * math.pi) * (math.sin(theta)
-                                      + (math.pi - theta) * math.cos(theta))
 
 
 def test_criterion_8_mc_matches_closed_form(mc_reference):

@@ -21,7 +21,8 @@ from ptwide.errors import InvalidConfigError, StructuralError
 from ptwide.model import MF, NTK, OURS, ModelConfig, ScalingVariant, forward, init_params
 from ptwide.numkernel import RngStream
 from ptwide.train import TrainConfig, run_training
-from oracle import _identity_spec, feature_movement, gd_step, grad_W, loss
+from oracle import (_identity_spec, feature_movement, gd_step, grad_W, loss,
+                    relu_closed_form_kernel)
 from oracle import active_fraction as oracle_active_fraction
 
 
@@ -63,15 +64,6 @@ class TestGram:
         payload = json.loads(rep.to_json(dataset="unit"))
         assert payload["kind"] == "g0" and payload["dataset"] == "unit"
         assert payload["n"] == 2
-
-
-def relu_closed_form_kernel(saa, sbb, sab):
-    """Gaussian expectation of relu(u) relu(v): the arc-cosine formula."""
-    denom = math.sqrt(saa * sbb)
-    rho = min(1.0, max(-1.0, sab / denom))
-    theta = math.acos(rho)
-    return denom / (2.0 * math.pi) * (math.sin(theta)
-                                      + (math.pi - theta) * math.cos(theta))
 
 
 class TestGramLimitMc:

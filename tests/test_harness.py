@@ -548,6 +548,35 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err == "error: Unable to allocate 610. GiB\n"
 
+    EXP1 = {"experiment": "exp1", "d": 3, "n_list": [4], "seeds": [1]}
+    DATA = {"dataset": "random_label", "n": 4, "d": 3}
+
+    @pytest.mark.parametrize("verb, payload", [
+        ("gen-data", {"dataset": "random_label", "n": 3_000_000_000, "d": 3_000_000_000}),
+        ("gen-data", {"dataset": "random_label", "n": 2 ** 63, "d": 3}),
+        ("experiment", {**EXP1, "m": 10 ** 18}),
+        ("experiment", {**EXP1, "m": 2 ** 63}),
+        ("gram", {**DATA, "embedding": "random_feature", "D": 10 ** 18}),
+        ("concentration", {**DATA, "D_list": [10 ** 18], "mc_samples": 1000}),
+    ], ids=["gen-data-too-big", "gen-data-past-dimension", "experiment-m-too-big",
+            "experiment-m-past-dimension", "gram-D", "concentration-D"])
+    def test_size_numpy_cannot_represent_exits_2(self, tmp_path, capsys, verb, payload):
+        # numpy refuses these shapes before it allocates anything
+        cfg = self._write(tmp_path / "c.json", payload)
+        rc = cli_main([verb, "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
+    def test_other_value_error_keeps_its_traceback(self, tmp_path, monkeypatch):
+        def bug(*args, **kwargs):
+            raise ValueError("boom")
+        monkeypatch.setattr("ptwide.cli.concentration_probe", bug)
+        cfg = self._write(tmp_path / "c.json", {**self.DATA, "D_list": [4]})
+        with pytest.raises(ValueError, match="boom"):
+            cli_main(["concentration", "--config", cfg, "--out", str(tmp_path / "o")])
+
     @pytest.mark.parametrize("verb, key", [(verb, f.name) for verb, cls in VERB_SCHEMAS.items()
                                            for f in fields(cls)])
     def test_every_key_rejects_a_value_of_the_wrong_type(self, tmp_path, capsys, verb, key):

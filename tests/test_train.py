@@ -13,7 +13,7 @@ from ptwide.datasets import gen_wei
 from ptwide.diagnostics import ACTIVE_CHUNK_BYTES
 from ptwide.embedding import EmbeddingSpec, embed_batch
 from ptwide.errors import InvalidConfigError
-from ptwide.model import MF, NTK, OURS, ModelConfig, forward, init_params
+from ptwide.model import MF, NTK, OURS, ModelConfig, ScalingVariant, forward, init_params
 import ptwide.helper as helper_module
 import ptwide.train as train_module
 from ptwide.train import (TEST_TILE, TWO_BLOCK_MIN_MN2, TrainConfig,
@@ -182,11 +182,13 @@ class TestRunTraining:
         assert trace.steps == [0] and len(trace.losses) == 1
         np.testing.assert_array_equal(trace.final_params.W, init_params(cfg).W)
 
-    @pytest.mark.parametrize("scaling", [OURS, NTK, MF], ids=lambda s: s.name)
+    @pytest.mark.parametrize("scaling", [OURS, NTK, MF, ScalingVariant("x", 0.75, 0.25, 0.5)],
+                             ids=lambda s: s.name)
     @pytest.mark.parametrize("activation", [TANH, RELU, LINEAR, leaky_relu(0.3)],
                              ids=lambda a: a.name)
     def test_kernel_path_matches_explicit_path(self, activation, scaling):
-        # m is even for ntk and mf needs D = m
+        # m is even for ntk and mf needs D = m; under x, p, q and lr all
+        # differ and m != D, so a swapped factor of the scaling shows
         _check_kernel_path_against_explicit(activation, scaling, m=6, n=4,
                                             D=6 if scaling is MF else 7, delta=0.5)
 
