@@ -24,7 +24,8 @@ from .diagnostics import (MonitorResult, check_concentration, check_mc_samples, 
                           lemma1_monitor, pl_monitor, theory_constants)
 from .embedding import FIXED_D, EmbeddingSpec
 from .errors import InvalidConfigError
-from .model import ModelConfig, get_scaling, init_params
+# init_params is not called here, but bench/tracing.py wraps it under this name.
+from .model import ModelConfig, get_scaling, init_params  # noqa: F401
 from .numkernel import write_csv
 from .train import TrainConfig, TrainingTrace, run_training, snapshots_to_npz, trace_to_csv
 
@@ -315,15 +316,11 @@ def run_single(cfg: ExperimentConfig, scaling_name: str, n: int, seed: int) -> R
     """One grid cell: generate data, train, evaluate monitors and rate fit."""
     model_cfg, tc, train_data, test_data = _cell(cfg, scaling_name, n, seed)
 
-    params = init_params(model_cfg)
-    gram_report = gram(model_cfg.embedding, params.embedding_weights, train_data.X)
-
     metric = lambda f, t: test_error(f, t, cfg.dataset)
     trace = run_training(model_cfg, tc, train_data.X, train_data.y,
-                         test_X=test_data.X, test_y=test_data.y,
-                         test_metric=metric, init=params)
-    del params  # the initial (m, D) W; pl_monitor needs only the final one
+                         test_X=test_data.X, test_y=test_data.y, test_metric=metric)
     final_params, trace.final_params = trace.final_params, None  # no caller reads it
+    gram_report = gram(model_cfg.embedding, final_params.embedding_weights, train_data.X)
 
     row = {"experiment": cfg.experiment, "scaling": scaling_name, "n": n,
            "m": cfg.m, "seed": seed}

@@ -106,15 +106,31 @@ def init_params(config: ModelConfig) -> Parameters:
     """
     ew = build_embedding(config.embedding)
     if config.scaling.paired_init:
-        half = config.m // 2
-        w_half = gaussian_matrix(RngStream(config.seed, "w"), half, config.D)
-        c_half = rademacher_vector(RngStream(config.seed, "c"), half, config.c_hat)
-        W = np.repeat(w_half, 2, axis=0)
+        c_half = rademacher_vector(RngStream(config.seed, "c"), config.m // 2, config.c_hat)
         c = np.stack([c_half, -c_half], axis=1).ravel()
     else:
-        W = gaussian_matrix(RngStream(config.seed, "w"), config.m, config.D)
         c = rademacher_vector(RngStream(config.seed, "c"), config.m, config.c_hat)
-    return Parameters(W=W, c=c, embedding_weights=ew)
+    return Parameters(W=init_weights(config), c=c, embedding_weights=ew)
+
+
+def init_weights(config: ModelConfig) -> np.ndarray:
+    """The initial (m, D) W of ``init_params``, drawn alone from its own stream,
+    so that a second call gives the same array bit for bit.
+
+    Under a paired variant, rows 2i and 2i + 1 are row i of an (m/2, D)
+    draw. The draw fills the first half of W, and row i is copied to its
+    pair from the last row back, so no row is overwritten before it is read
+    and no (m/2, D) temporary exists.
+    """
+    rng = RngStream(config.seed, "w")
+    if not config.scaling.paired_init:
+        return gaussian_matrix(rng, config.m, config.D)
+    half = config.m // 2
+    W = np.empty((config.m, config.D))
+    gaussian_matrix(rng, half, config.D, out=W[:half])
+    for i in reversed(range(half)):
+        W[2 * i:2 * i + 2] = W[i]
+    return W
 
 
 def preactivations(config: ModelConfig, W: np.ndarray, Phi: np.ndarray) -> np.ndarray:

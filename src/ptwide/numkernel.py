@@ -55,9 +55,11 @@ class RngStream:
         return np.random.default_rng(np.random.SeedSequence([self.seed, tag]))
 
 
-def gaussian_matrix(rng: RngStream, rows: int, cols: int) -> np.ndarray:
-    """i.i.d. standard-normal (rows, cols) matrix, reproducible per stream."""
-    return rng.generator().standard_normal((rows, cols))
+def gaussian_matrix(rng: RngStream, rows: int, cols: int,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """i.i.d. standard-normal (rows, cols) matrix, reproducible per stream;
+    drawn into ``out`` (C-contiguous float64) if given, with the same bits."""
+    return rng.generator().standard_normal((rows, cols), out=out)
 
 
 def rademacher_vector(rng: RngStream, length: int, scale: float) -> np.ndarray:

@@ -56,13 +56,25 @@ at exp3's shape (m = 1024, n = 200, column halves of 248 and 252) the
 tiles of 64 give other bits than one product per half, as OpenBLAS's
 product over the 252 columns is not bit-equal to that over its tiles.
 f_t does not depend on the helper or on the CPU or BLAS thread count.
-Phi (n, D) is dropped once the kernels exist and embedded again for the
-final W. No snapshot copies H at step 0: that H is built again after the
-loop, by the same ``model.preactivations`` from the same W and Phi, so
-the loop's live set carries the copy of c in its place. The snapshot of
-the final step keeps H itself. The step and test-set buffers are released
-before the (m, D) final W is built, so that W does not add to the loop's
-peak memory.
+
+The (m, D) W is live only at the two ends of a run, so the loop holds
+O(m (n + n_test)) and a cell never holds two (m, D) arrays. Before the
+loop, W (drawn by ``init_params``, or the given ``init``) forms Kmat and
+Ktest, which need no W, then H_test0, after which Phi_t is dropped, and
+H; W and Phi (n, D) are dropped before the step buffers exist. No snapshot
+copies H at step 0, and the snapshot of the final step keeps H itself.
+After the loop the step and test-set buffers are released, Phi is embedded
+again and W drawn a second time from the same stream by
+``model.init_weights``, the W-only draw that ``init_params`` makes, so it
+has the same bits (a given init's W is copied, never written). The step-0
+snapshot is built from it by the same ``model.preactivations`` as the
+initial H, and W then becomes the final W in place, W_BLOCK_BYTES of
+Pacc @ Phi at a time: t = Pacc @ Phi[:, a:b], t *= scale, W[:, a:b] -= t.
+Under OpenBLAS these column blocks gave the bits of the whole product
+(checked at exp3's shape and at n > 256) while blocks of W @ Phi_t^T did
+not, so the initial products are formed whole. At m = D = 4096 an exp3
+cell (n = 200, n_test = 500, 20 steps, one BLAS thread) peaked at 343 MiB
+RSS with two live W and peaks at 221 MiB with one.
 """
 
 from __future__ import annotations
@@ -77,7 +89,7 @@ from .diagnostics import active_fraction, shrink_interval
 from .embedding import embed_batch
 from .errors import InvalidConfigError
 from .helper import Helper
-from .model import ModelConfig, Parameters, init_params, preactivations
+from .model import ModelConfig, Parameters, init_params, init_weights, preactivations
 from .numkernel import write_csv
 
 DIVERGENCE_THRESHOLD = 1e12
@@ -90,6 +102,9 @@ TWO_BLOCK_MIN_MN2 = 2 ** 23
 TEST_TILE = 64
 # Rows to a line of the step's scaling by r, against r tiled R_ROWS times.
 R_ROWS = 16
+# Bytes of each column block of Pacc @ Phi subtracted from W for the final W;
+# the block width is a multiple of 8 columns, and at least 8.
+W_BLOCK_BYTES = 2 ** 19
 
 
 @dataclass(frozen=True)
@@ -135,12 +150,20 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
                  init: Parameters | None = None) -> TrainingTrace:
     """Train by full-batch GD and record losses, active fractions, snapshots.
 
+    Without ``init`` the parameters are ``init_params(config)``; a given
+    ``init`` must have an (m, D) W and an (m,) c, and its W is not written.
     Divergence (loss above 1e12 or non-finite values) aborts with a partial
     trace flagged ``diverged``. Per-step loss increases are recorded in
     ``monotone_violations`` but are not fatal.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
+    n, m, D = len(X), config.m, config.D
+    if y.shape != (n,):
+        raise InvalidConfigError(f"y has shape {y.shape}, expected ({n},)")
+    if init is not None and (init.W.shape, init.c.shape) != ((m, D), (m,)):
+        raise InvalidConfigError(f"init has W of shape {init.W.shape} and c of shape "
+                                 f"{init.c.shape}, expected ({m}, {D}) and ({m},)")
     has_test = test_X is not None
     if has_test:
         if test_y is None:
@@ -150,25 +173,23 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
             raise InvalidConfigError(f"test_y has shape {test_y.shape}, "
                                      f"expected ({len(test_X)},)")
     params = init if init is not None else init_params(config)
+    W, c, ew = params.W, params.c, params.embedding_weights
+    del params
 
     sigma, value_and_deriv = config.activation.fn, config.activation.value_and_deriv
-    m = config.m
     beta, alpha, lam = config.factors
     delta = train_config.delta
 
-    Phi = embed_batch(config.embedding, params.embedding_weights, X)      # (n, D)
-    H = preactivations(config, params.W, Phi)                             # (m, n)
+    Phi = embed_batch(config.embedding, ew, X)                            # (n, D)
     # Kernel of the H-space recursion: H <- H - P (lam d beta a^2 Phi Phi^T)
     k_scale = lam * delta * beta * alpha * alpha
     Kmat = k_scale * (Phi @ Phi.T)
-    c = params.c
-    n = H.shape[1]
 
     test_blocks = []
     if has_test:
-        Phi_t = embed_batch(config.embedding, params.embedding_weights, test_X)
-        H_test0 = preactivations(config, params.W, Phi_t)
+        Phi_t = embed_batch(config.embedding, ew, test_X)
         Ktest = k_scale * (Phi @ Phi_t.T)
+        H_test0 = preactivations(config, W, Phi_t)
         del Phi_t
         if test_metric is None:
             test_metric = lambda f, t: float(np.mean((f - t) ** 2))
@@ -179,7 +200,8 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
                 else (0, n_test))
         test_blocks = [(lo, hi, np.empty(m * min(TEST_TILE, hi - lo)))
                        for lo, hi in zip(cols, cols[1:])]
-    del Phi     # embedded again for the final W
+    H = preactivations(config, W, Phi)                                    # (m, n)
+    W = Phi = None     # both are built again for the final W
 
     trace = TrainingTrace()
     Pacc = np.zeros_like(H)
@@ -273,20 +295,23 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
             r_rows[...] = r
             in_blocks(advance, blocks)
 
-    # W - scale * (Pacc @ Phi) needs only Pacc and Phi: drop the step and
-    # test-set buffers (the step blocks hold views of them) before Phi and
-    # the (m, D) W_final exist, and build W_final in one array, with no
-    # (m, D) temporary. The snapshot of step 0 is the initial H, by the
-    # same product as before the loop.
+    # W - scale * (Pacc @ Phi) needs only W, Pacc and Phi: drop the step and
+    # test-set buffers (the step blocks hold views of them) before Phi and W
+    # exist again, then turn W into the final W in place, a column block at
+    # a time, so there is no (m, D) temporary.
     H = sig = P = c_rows = blocks = test_blocks = H_test0 = Ktest = None
-    Phi = embed_batch(config.embedding, params.embedding_weights, X)
+    Phi = embed_batch(config.embedding, ew, X)
+    W = init_weights(config) if init is None else np.array(init.W, dtype=np.float64)
     if 0 in trace.snapshots:
-        trace.snapshots[0] = (preactivations(config, params.W, Phi), trace.snapshots[0][1])
-    W_final = Pacc @ Phi
-    W_final *= lam * delta * beta * alpha
-    np.subtract(params.W, W_final, out=W_final)
-    trace.final_params = Parameters(W=W_final, c=c,
-                                    embedding_weights=params.embedding_weights)
+        trace.snapshots[0] = (preactivations(config, W, Phi), trace.snapshots[0][1])
+    scale = lam * delta * beta * alpha
+    width = max(8, W_BLOCK_BYTES // (64 * m) * 8)
+    for a in range(0, D, width):
+        t = Pacc @ Phi[:, a:a + width]
+        t *= scale
+        W[:, a:a + width] -= t
+        del t       # before the next block exists
+    trace.final_params = Parameters(W=W, c=c, embedding_weights=ew)
     return trace
 
 

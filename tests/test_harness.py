@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -223,6 +224,26 @@ class TestRunExperiment:
         again = run_single(solo_cfg, "ours", 4, 1)
         assert lone.row == again.row
         assert lone.trace.final_params is None  # read by pl_monitor, then dropped
+
+    @pytest.mark.parametrize("scaling", ["ours", "ntk", "mf"])
+    def test_cell_holds_one_W(self, scaling):
+        # a cell draws W inside run_training and keeps only the final one,
+        # so at m = D = 512 and a small n its peak is one (m, D) W and a
+        # block of the final W's product, within 1.75 W (two Ws used to be
+        # live at once: the cell's initial W and the final W)
+        m = 512
+        cfg = parse_experiment_config({
+            "experiment": "exp3", "n_list": [20], "m": m, "seeds": [1],
+            "scalings": [scaling], "steps": 3, "record_every": 1, "n_test": 20})
+        run_single(cfg, scaling, 20, 1)    # the first call imports modules, which are traced
+        tracemalloc.start()
+        try:
+            result = run_single(cfg, scaling, 20, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(result.row["final_loss"])
+        assert peak <= 1.75 * m * m * 8
 
     def test_probe_scatter_rows(self, small_cfg, tmp_path):
         out = tmp_path / "runs"

@@ -4,7 +4,8 @@ import pytest
 from ptwide.activations import LINEAR, RELU, TANH
 from ptwide.errors import InvalidConfigError
 from ptwide.model import (MF, NTK, OURS, ModelConfig, Parameters, ScalingVariant, forward,
-                          get_scaling, init_params)
+                          get_scaling, init_params, init_weights)
+from ptwide.numkernel import RngStream, gaussian_matrix
 from ptwide.train import TrainConfig, run_training
 from oracle import _identity_spec, _manual_params
 
@@ -84,6 +85,18 @@ class TestInit:
         p1, p2 = init_params(cfg), init_params(cfg)
         np.testing.assert_array_equal(p1.W, p2.W)
         np.testing.assert_array_equal(p1.c, p2.c)
+
+    @pytest.mark.parametrize("m", [2, 6, 64])
+    def test_paired_rows_are_the_half_draw_repeated(self, m):
+        # the paired W is drawn into its first half and spread to row pairs
+        # in place; its bits are those of the (m/2, D) draw with each row
+        # repeated, and init_params' W is init_weights', bit for bit
+        cfg = ModelConfig(embedding=_identity_spec(5), activation=TANH,
+                          scaling=NTK, m=m, seed=3)
+        half = gaussian_matrix(RngStream(3, "w"), m // 2, 5)
+        W = init_weights(cfg)
+        assert W.tobytes() == np.repeat(half, 2, axis=0).tobytes()
+        assert init_params(cfg).W.tobytes() == W.tobytes()
 
     def test_width_does_not_perturb_other_streams(self):
         # first rows of W agree across widths: the stream is consumed row-major

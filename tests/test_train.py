@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 import threading
 import tracemalloc
 
@@ -16,7 +17,7 @@ from ptwide.errors import InvalidConfigError
 from ptwide.model import MF, NTK, OURS, ModelConfig, ScalingVariant, forward, init_params
 import ptwide.helper as helper_module
 import ptwide.train as train_module
-from ptwide.train import (TEST_TILE, TWO_BLOCK_MIN_MN2, TrainConfig,
+from ptwide.train import (TEST_TILE, TWO_BLOCK_MIN_MN2, W_BLOCK_BYTES, TrainConfig,
                           run_training, trace_to_csv)
 from oracle import (_check_kernel_path_against_explicit, _check_kernel_path_on,
                     _identity_spec, _manual_params, gd_step, grad_W, loss)
@@ -265,6 +266,9 @@ class TestRunTraining:
         assert list(a.snapshots) == list(b.snapshots)
         pairs = [(x, y) for step in a.snapshots
                  for x, y in zip(a.snapshots[step], b.snapshots[step])]
+        assert list(a.probe_snapshots) == list(b.probe_snapshots)
+        pairs += [(a.probe_snapshots[step], b.probe_snapshots[step])
+                  for step in a.probe_snapshots]
         for x, y in pairs + [(a.final_params.W, b.final_params.W)]:
             assert x.shape == y.shape and x.dtype == y.dtype
             assert x.tobytes() == y.tobytes()
@@ -347,7 +351,8 @@ class TestRunTraining:
         # buffers; Kmat, Ktest
         loop = (5 * m * n + m * n_test + 2 * m * TEST_TILE + n * n + n * n_test) * f8
         # H (the final snapshot), the step-0 snapshot, Pacc, Phi, the final W
-        final = (3 * m * n + n * D + m * D) * f8
+        # and one column block of Pacc @ Phi
+        final = (3 * m * n + n * D + m * D) * f8 + W_BLOCK_BYTES
         # and the active fractions' temporaries at a record step
         assert peak <= max(loop, final) + ACTIVE_CHUNK_BYTES + 2 ** 17
 
@@ -432,6 +437,90 @@ class TestRunTraining:
             traces.append(trace)
         assert not traces[0].diverged and traces[0].losses[-1] < traces[0].losses[0]
         self._assert_same_arrays(*traces)
+
+    @pytest.mark.parametrize("m, n", [(8, 5), (1024, 96)], ids=["one-block", "two-blocks"])
+    @pytest.mark.parametrize("scaling", [OURS, NTK, MF], ids=lambda s: s.name)
+    def test_drawn_and_given_init_give_the_same_run(self, scaling, m, n):
+        # without init, W is drawn for the initial products, dropped during
+        # the loop and drawn again for the final W; that run is the one that
+        # init_params' W gives, bit for bit, and a given W is never written
+        assert (m * n * n >= TWO_BLOCK_MIN_MN2) == (m == 1024)
+        spec = EmbeddingSpec(kind="random_feature", d=3, D=m, activation=TANH, seed=3)
+        cfg = ModelConfig(embedding=spec, activation=TANH, scaling=scaling, m=m, seed=4)
+        rng = np.random.default_rng(27)
+        X, y = rng.standard_normal((n, 3)), rng.standard_normal(n)
+        test_X, test_y = rng.standard_normal((90, 3)), rng.standard_normal(90)
+        tc = TrainConfig(steps=6, delta=0.1, record_every=2, snapshot_steps=(0, 3, 6))
+        init = init_params(cfg)
+        W0 = init.W.copy()
+        given = run_training(cfg, tc, X, y, test_X=test_X, test_y=test_y, init=init)
+        drawn = run_training(cfg, tc, X, y, test_X=test_X, test_y=test_y)
+        assert init.W.tobytes() == W0.tobytes()
+        assert not np.shares_memory(given.final_params.W, init.W)
+        assert list(given.snapshots) == [0, 3, 6] and len(given.test_errors) == 4
+        assert not np.array_equal(given.final_params.W, W0)
+        self._assert_same_arrays(given, drawn)
+
+    @pytest.mark.parametrize("d, m, n, D", [(50, 1024, 200, 1024), (3, 512, 300, 600)],
+                             ids=["exp3", "n-above-256"])
+    def test_column_blocked_final_W_is_the_whole_product(self, d, m, n, D):
+        # the final W is W - scale (Pacc @ Phi) formed a column block at a
+        # time; at exp3's shape and where the n-long sums of the product
+        # span more than one of OpenBLAS's K blocks, its bits are those of
+        # the whole product (blocks of the initial W @ Phi^T were not, so
+        # the initial products stay whole)
+        assert D > max(8, W_BLOCK_BYTES // (64 * m) * 8)     # more than one block
+        spec = EmbeddingSpec(kind="random_feature", d=d, D=D, activation=RELU, seed=1)
+        cfg = ModelConfig(embedding=spec, activation=RELU, scaling=OURS, m=m, seed=1)
+        train = gen_wei(n, d, 1)
+        _, W = _run_by_row_broadcasts(cfg, train.X, train.y, 1.0, 3)
+        trace = run_training(cfg, TrainConfig(steps=3, delta=1.0), train.X, train.y)
+        assert not trace.diverged
+        assert trace.final_params.W.tobytes() == W.tobytes()
+
+    @pytest.mark.parametrize("scaling", [OURS, NTK, MF], ids=lambda s: s.name)
+    def test_peak_memory_holds_one_W(self, scaling):
+        # W is live only while the initial products and the final W are
+        # formed, never twice: at m = D = 512 and a small n the peak is one
+        # (m, D) W and a block of Pacc @ Phi, within 1.75 W
+        m = D = 512
+        spec = EmbeddingSpec(kind="random_feature", d=3, D=D, activation=TANH, seed=3)
+        cfg = ModelConfig(embedding=spec, activation=TANH, scaling=scaling, m=m, seed=3)
+        rng = np.random.default_rng(5)
+        X, y = rng.standard_normal((20, 3)), rng.standard_normal(20)
+        test_X, test_y = rng.standard_normal((20, 3)), rng.standard_normal(20)
+        tc = TrainConfig(steps=3, delta=0.1, snapshot_steps=(0, 3))
+        run_training(cfg, tc, X, y, test_X=test_X, test_y=test_y)   # imports, untraced
+        tracemalloc.start()
+        try:
+            trace = run_training(cfg, tc, X, y, test_X=test_X, test_y=test_y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not trace.diverged
+        assert peak <= 1.75 * m * D * 8
+
+    @pytest.mark.parametrize("W, c", [((4, 3), (4,)), ((8, 2), (8,)), ((8, 3), (4,))],
+                             ids=["narrow-model", "short-rows", "short-c"])
+    def test_init_must_fit_the_config(self, W, c):
+        # an init of another width used to train and return a W of its shape
+        cfg = ModelConfig(embedding=_identity_spec(3), activation=TANH,
+                          scaling=OURS, m=8, seed=1)
+        init = _manual_params(np.ones(W), np.ones(c))
+        with pytest.raises(InvalidConfigError, match=re.escape(
+                f"W of shape {W} and c of shape {c}, expected (8, 3) and (8,)")):
+            run_training(cfg, TrainConfig(steps=2), np.ones((4, 3)), np.zeros(4), init=init)
+
+    @pytest.mark.parametrize("y", [np.zeros(1), np.zeros((4, 1)), np.zeros(3)],
+                             ids=["one-target", "column", "short"])
+    def test_targets_must_match_the_inputs(self, y):
+        # a (1,) y used to broadcast and train toward a constant, an (n, 1)
+        # one raised TypeError and a short one a broadcast ValueError
+        cfg = ModelConfig(embedding=_identity_spec(3), activation=TANH,
+                          scaling=OURS, m=4, seed=1)
+        with pytest.raises(InvalidConfigError,
+                           match=re.escape(f"y has shape {y.shape}, expected (4,)")):
+            run_training(cfg, TrainConfig(steps=2), np.ones((4, 3)), y)
 
     @pytest.mark.parametrize("steps, delta", [(0, 0.5), (20, 0.5), (500, 50.0)],
                              ids=["no-steps", "converges", "diverges"])
