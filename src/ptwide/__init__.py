@@ -15,8 +15,8 @@ from .train import TrainConfig, TrainingTrace, run_training
 from .diagnostics import (GramReport, MonitorResult, PLReport, TheoryConstants,
                           active_fraction, concentration_probe, gram, gram_limit_mc,
                           lemma1_monitor, pl_monitor, shrink_interval, theory_constants)
-from .datasets import Dataset, gen_quadratic_teacher, gen_random_label, gen_wei
+from .datasets import Dataset, gen_quadratic_teacher, gen_random_label, gen_wei, test_error
 from .harness import (ExperimentConfig, parse_experiment_config, rate_fit,
-                      run_experiment, run_single, test_error)
+                      run_experiment, run_single)
 
 __version__ = "0.1.0"

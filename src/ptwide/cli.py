@@ -56,8 +56,8 @@ def _config(cls, args):
 def _dataset(cls, args):
     """A dataset verb's config and the dataset it names."""
     cfg = _config(cls, args)
-    return cfg, harness.generate(cfg.dataset, cfg.n, cfg.d, cfg.seed, cfg.split,
-                                 cfg.teacher_seed)
+    return cfg, datasets.generate(cfg.dataset, cfg.n, cfg.d, cfg.seed, cfg.split,
+                                  cfg.teacher_seed)
 
 
 def _exit_code(rows: list[dict], args) -> int:

@@ -1,4 +1,4 @@
-"""Deterministic generators for the three experimental datasets.
+"""Deterministic generators of the three experimental datasets, and their test errors.
 
 All generators are pure functions of their parameters and seed; train and
 test splits draw from distinct named streams so a test set never shifts
@@ -84,6 +84,33 @@ def gen_wei(n: int, d: int, seed: int, split: str = "train") -> Dataset:
     X[:, :2] = atoms[:, :2]
     X[:, 2:] = gn.uniform(-1.0, 1.0, size=(n, d - 2))
     return Dataset(X=X, y=atoms[:, 2].copy(), kind="wei", seed=seed, split=split)
+
+
+def generate(kind: str, n: int, d: int, seed: int, split: str, teacher_seed: int) -> Dataset:
+    """The ``split`` draw of ``n`` points of the ``kind`` dataset in R^d."""
+    if kind == "random_label":
+        return gen_random_label(n, d, seed, split)
+    if kind == "quadratic_teacher":
+        return gen_quadratic_teacher(n, d, teacher_seed, seed, split)
+    if kind == "wei":
+        return gen_wei(n, d, seed, split)
+    raise InvalidConfigError(f"unknown dataset kind {kind!r}")
+
+
+def mse(f_vals: np.ndarray, y: np.ndarray) -> float:
+    """Mean squared error of the outputs ``f_vals`` against the labels ``y``."""
+    return float(np.mean((f_vals - y) ** 2))
+
+
+def test_error(f_vals: np.ndarray, y: np.ndarray, kind: str) -> float:
+    """Mean squared error, except for wei the 0-1 sign error, under which
+    sign(0) always counts as an error."""
+    f_vals = np.asarray(f_vals, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if kind == "wei":
+        correct = ((f_vals > 0) & (y > 0)) | ((f_vals < 0) & (y < 0))
+        return float(1.0 - correct.mean())
+    return mse(f_vals, y)
 
 
 def to_csv(dataset: Dataset, path) -> None:

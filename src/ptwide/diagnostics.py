@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .activations import ActivationSpec
-from .embedding import EmbeddingSpec, EmbeddingWeights, build_embedding, embed_batch
+from .embedding import GRAM_KIND, EmbeddingSpec, EmbeddingWeights, build_embedding, embed_batch
 from .errors import InvalidConfigError
 from .helper import Helper
 from .model import ModelConfig, Parameters, forward
@@ -23,13 +23,6 @@ from .numkernel import RngStream, sym_eig_extremes
 # Slack applied to all inequality monitors: float accumulation over m*n terms.
 ABS_SLACK = 1e-8
 REL_SLACK = 1e-6
-
-_KIND_BY_EMBEDDING = {
-    "identity": "g0",
-    "random_feature": "g1",
-    "quadratic": "quadratic",
-    "deep_random": "deep",
-}
 
 # Bytes that gram_limit_mc's two (rows, d) draw buffers and its (rows, n)
 # activation buffer share when no chunk is given, so that its memory is set
@@ -56,7 +49,7 @@ class GramReport:
     lambda_max: float
     g_min: float           # min diagonal entry
     g_max: float           # max diagonal entry
-    kind: str              # g0 | g1 | quadratic | deep | limit_mc
+    kind: str              # a value of embedding.GRAM_KIND, or limit_mc
     mc_samples: int = 0
     stderr: np.ndarray | None = None
 
@@ -97,7 +90,7 @@ def gram(spec: EmbeddingSpec, weights: EmbeddingWeights, X: np.ndarray) -> GramR
     """Empirical Gram matrix G_ab = (1/D) Phi(x_a)^T Phi(x_b) with extremes."""
     Phi = embed_batch(spec, weights, X)
     G = Phi @ Phi.T / spec.D
-    return _report_from_gram(G, _KIND_BY_EMBEDDING[spec.kind])
+    return _report_from_gram(G, GRAM_KIND[spec.kind])
 
 
 def check_mc_samples(samples: int) -> None:
@@ -191,7 +184,6 @@ def concentration_probe(activation: ActivationSpec, X: np.ndarray,
     d = X.shape[1]
     if reference is None:
         reference = gram_limit_mc(activation, X, reference_samples, seed)
-    Gbar = reference.G
     rows = []
     for D in D_list:
         devs = []
@@ -199,8 +191,7 @@ def concentration_probe(activation: ActivationSpec, X: np.ndarray,
             spec = EmbeddingSpec(kind="random_feature", d=d, D=D,
                                  activation=activation, seed=seed * 10_000 + D * 100 + t)
             rep = gram(spec, build_embedding(spec), X)
-            diff = rep.G - Gbar
-            lo, hi = sym_eig_extremes(diff)
+            lo, hi = sym_eig_extremes(rep.G - reference.G)
             devs.append(max(abs(lo), abs(hi)))
         rows.append((D, float(np.median(devs))))
     return rows

@@ -15,7 +15,9 @@ from .activations import ActivationSpec
 from .errors import InvalidConfigError, StructuralError
 from .numkernel import RngStream, gaussian_matrix
 
-KINDS = ("identity", "quadratic", "random_feature", "deep_random")
+# Each embedding kind and the paper's name for its Gram matrix, GramReport.kind.
+GRAM_KIND = {"identity": "g0", "quadratic": "quadratic", "random_feature": "g1",
+             "deep_random": "deep"}
 # The width D of each kind that fixes it, as a function of d; the random kinds take any D.
 FIXED_D = {"identity": lambda d: d, "quadratic": lambda d: d * d}
 
@@ -30,7 +32,7 @@ class EmbeddingSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in GRAM_KIND:
             raise InvalidConfigError(f"unknown embedding kind {self.kind!r}")
         if self.d < 1 or self.D < 1:
             raise InvalidConfigError("dimensions must be >= 1")

@@ -234,29 +234,6 @@ def rate_fit(steps, losses) -> tuple[float, float]:
     return float(slope), float(r2)
 
 
-def test_error(f_vals: np.ndarray, y: np.ndarray, kind: str) -> float:
-    """Mean squared error, except for wei the 0-1 sign error, under which
-    sign(0) always counts as an error."""
-    f_vals = np.asarray(f_vals, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if kind == "wei":
-        correct = ((f_vals > 0) & (y > 0)) | ((f_vals < 0) & (y < 0))
-        return float(1.0 - correct.mean())
-    return float(np.mean((f_vals - y) ** 2))
-
-
-def generate(kind: str, n: int, d: int, seed: int, split: str,
-             teacher_seed: int) -> datasets.Dataset:
-    """The ``split`` draw of ``n`` points of the ``kind`` dataset in R^d."""
-    if kind == "random_label":
-        return datasets.gen_random_label(n, d, seed, split)
-    if kind == "quadratic_teacher":
-        return datasets.gen_quadratic_teacher(n, d, teacher_seed, seed, split)
-    if kind == "wei":
-        return datasets.gen_wei(n, d, seed, split)
-    raise InvalidConfigError(f"unknown dataset kind {kind!r}")
-
-
 def embedding_spec(kind: str, d: int, D: int | None, depth: int, activation,
                    seed: int, default_D: int) -> EmbeddingSpec:
     """The ``kind`` embedding of R^d. ``D`` (None: ``default_D``) sizes the random kinds
@@ -286,8 +263,8 @@ def _cell(cfg: ExperimentConfig, scaling_name: str, n: int, seed: int):
         snaps = sorted({0, cfg.steps // 2, cfg.steps})
     tc = TrainConfig(steps=cfg.steps, delta=cfg.delta, record_every=cfg.record_every,
                      snapshot_steps=tuple(snaps))
-    train_data = generate(cfg.dataset, n, cfg.d, seed, "train", cfg.teacher_seed)
-    test_data = generate(cfg.dataset, cfg.n_test, cfg.d, seed, "test", cfg.teacher_seed)
+    train_data = datasets.generate(cfg.dataset, n, cfg.d, seed, "train", cfg.teacher_seed)
+    test_data = datasets.generate(cfg.dataset, cfg.n_test, cfg.d, seed, "test", cfg.teacher_seed)
     return model_cfg, tc, train_data, test_data
 
 
@@ -316,7 +293,7 @@ def run_single(cfg: ExperimentConfig, scaling_name: str, n: int, seed: int) -> R
     """One grid cell: generate data, train, evaluate monitors and rate fit."""
     model_cfg, tc, train_data, test_data = _cell(cfg, scaling_name, n, seed)
 
-    metric = lambda f, t: test_error(f, t, cfg.dataset)
+    metric = lambda f, t: datasets.test_error(f, t, cfg.dataset)
     trace = run_training(model_cfg, tc, train_data.X, train_data.y,
                          test_X=test_data.X, test_y=test_data.y, test_metric=metric)
     final_params, trace.final_params = trace.final_params, None  # no caller reads it
@@ -387,8 +364,8 @@ def _write_probe_scatter(trace: TrainingTrace, path) -> None:
     if not trace.probe_snapshots:
         return
     write_csv(path, ["step", "neuron", "h_train", "h_test"],
-              ((step, i, *h) for step, H_p in sorted(trace.probe_snapshots.items())
-               for i, h in enumerate(H_p)))
+              ((step, i, *h) for step, h_test in sorted(trace.probe_snapshots.items())
+               for i, h in enumerate(zip(trace.snapshots[step][0][:, 0], h_test))))
 
 
 def _write_mean_curve(traces: list[TrainingTrace], path) -> None:

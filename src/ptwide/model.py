@@ -12,6 +12,7 @@ Only W is trained; the output signs c and the embedding weights are fixed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,8 +59,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.m < 1:
             raise InvalidConfigError("m must be >= 1")
-        if self.c_hat <= 0:
-            raise InvalidConfigError("c_hat must be positive")
+        if not (math.isfinite(self.c_hat) and self.c_hat > 0):
+            raise InvalidConfigError(f"c_hat must be positive and finite, not {self.c_hat}")
         if self.scaling.paired_init and self.m % 2 != 0:
             raise InvalidConfigError(f"{self.scaling.name} symmetrized init requires even m")
         if self.scaling.tied_width and self.embedding.D != self.m:

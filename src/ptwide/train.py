@@ -72,19 +72,19 @@ initial H, and W then becomes the final W in place, W_BLOCK_BYTES of
 Pacc @ Phi at a time: t = Pacc @ Phi[:, a:b], t *= scale, W[:, a:b] -= t.
 Under OpenBLAS these column blocks gave the bits of the whole product
 (checked at exp3's shape and at n > 256) while blocks of W @ Phi_t^T did
-not, so the initial products are formed whole. At m = D = 4096 an exp3
-cell (n = 200, n_test = 500, 20 steps, one BLAS thread) peaked at 343 MiB
-RSS with two live W and peaks at 221 MiB with one.
+not, so the initial products are formed whole.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
+from .datasets import mse
 from .diagnostics import active_fraction, shrink_interval
 from .embedding import embed_batch
 from .errors import InvalidConfigError
@@ -118,8 +118,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.steps < 0:
             raise InvalidConfigError("steps must be >= 0")
-        if self.delta <= 0:
-            raise InvalidConfigError("delta must be positive")
+        if not (math.isfinite(self.delta) and self.delta > 0):
+            raise InvalidConfigError(f"delta must be positive and finite, not {self.delta}")
         if self.record_every < 1:
             raise InvalidConfigError("record_every must be >= 1")
         outside = [s for s in self.snapshot_steps if not 0 <= s <= self.steps]
@@ -135,7 +135,7 @@ class TrainingTrace:
     eta_min: list[float] = field(default_factory=list)
     test_errors: list[float] = field(default_factory=list)
     snapshots: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
-    probe_snapshots: dict[int, np.ndarray] = field(default_factory=dict)
+    probe_snapshots: dict[int, np.ndarray] = field(default_factory=dict)  # (m,) h of test_X[0]
     eta_tilde0: float = float("nan")
     monotone_violations: list[int] = field(default_factory=list)
     diverged: bool = False
@@ -159,6 +159,8 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n, m, D = len(X), config.m, config.D
+    if n < 1:
+        raise InvalidConfigError(f"the training set has {n} points; it needs at least 1")
     if y.shape != (n,):
         raise InvalidConfigError(f"y has shape {y.shape}, expected ({n},)")
     if init is not None and (init.W.shape, init.c.shape) != ((m, D), (m,)):
@@ -168,6 +170,8 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
     if has_test:
         if test_y is None:
             raise InvalidConfigError("test_X is given without test_y")
+        if len(test_X) < 1:
+            raise InvalidConfigError(f"test_X has {len(test_X)} points; it needs at least 1")
         test_y = np.asarray(test_y, dtype=np.float64)
         if test_y.shape != (len(test_X),):
             raise InvalidConfigError(f"test_y has shape {test_y.shape}, "
@@ -191,8 +195,7 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
         Ktest = k_scale * (Phi @ Phi_t.T)
         H_test0 = preactivations(config, W, Phi_t)
         del Phi_t
-        if test_metric is None:
-            test_metric = lambda f, t: float(np.mean((f - t) ** 2))
+        test_metric = test_metric or mse
         n_test = H_test0.shape[1]
         f_t = np.empty(n_test)
         split = 8 * (n_test // 16)     # a multiple of 8 at or below the middle
@@ -260,8 +263,7 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
         H_s = None if step == 0 else H if step == train_config.steps else H.copy()
         trace.snapshots[step] = (H_s, f)
         if has_test:
-            trace.probe_snapshots[step] = np.stack(
-                (H[:, 0], H_test0[:, 0] - Pacc @ Ktest[:, 0]), axis=1)
+            trace.probe_snapshots[step] = H_test0[:, 0] - Pacc @ Ktest[:, 0]
 
     def in_blocks(fn, fn_blocks) -> None:
         """fn(block) for each block: with two blocks, the second goes to the

@@ -3,6 +3,8 @@ import ctypes
 import json
 import math
 import os
+import pathlib
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -17,9 +19,9 @@ from ptwide.cli import main as cli_main
 from ptwide.embedding import EmbeddingSpec
 from ptwide.errors import InvalidConfigError
 from ptwide.harness import (PRESETS, SUMMARY_COLUMNS, ConcentrationConfig, DatasetConfig,
-                            ExperimentConfig, GramConfig, cells, parse,
+                            ExperimentConfig, GramConfig, cells, check_grid, parse,
                             parse_experiment_config, rate_fit, run_experiment, run_single)
-from ptwide.harness import test_error as eval_error
+from ptwide.datasets import test_error as eval_error
 from ptwide.model import OURS, ModelConfig, Parameters
 from ptwide.embedding import EmbeddingWeights
 from ptwide.numkernel import fmt
@@ -275,6 +277,23 @@ class TestRunExperiment:
 
 VERB_SCHEMAS = {"gen-data": DatasetConfig, "gram": GramConfig,
                 "concentration": ConcentrationConfig}
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_example_configs_parse():
+    # Each `cat > NAME.json <<'JSON'` block of the README is read as a config
+    # of the verb that the next line runs on NAME.json, and a grid's cells are
+    # checked, so an example that goes stale fails here in milliseconds.
+    text = README.read_text()
+    examples = re.findall(r"cat > (\S+) <<'JSON'\n(.*?)\nJSON\nptwide (\S+) --config \1 ",
+                          text, re.DOTALL)
+    assert examples and len(examples) == text.count("<<'JSON'")
+    for _, body, verb in examples:
+        raw = json.loads(body)
+        if verb in ("train", "experiment"):
+            check_grid(parse_experiment_config(raw))
+        else:
+            parse(VERB_SCHEMAS[verb], raw)
 
 
 class TestCli:
@@ -524,6 +543,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
         assert not (tmp_path / "o").exists()  # rejected before any cell ran
+
+    @pytest.mark.parametrize("verb, cls", [*VERB_SCHEMAS.items(),
+                                           ("experiment", ExperimentConfig),
+                                           ("train", ExperimentConfig)])
+    def test_unknown_dataset_kind_exits_2(self, tmp_path, capsys, verb, cls):
+        cfg = self._write(tmp_path / "bad.json", {**SCHEMAS[cls], "dataset": "mnist"})
+        rc = cli_main([verb, "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: unknown dataset kind 'mnist'\n"
+        assert not (tmp_path / "o").exists()
 
     def test_n_test_below_one_names_n_test(self, tmp_path, capsys):
         cfg = self._write(tmp_path / "bad.json",

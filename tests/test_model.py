@@ -49,9 +49,11 @@ class TestConfigValidation:
                         scaling=MF, m=4)
 
     def test_bad_c_hat(self):
-        with pytest.raises(InvalidConfigError):
-            ModelConfig(embedding=_identity_spec(2), activation=TANH,
-                        scaling=OURS, m=4, c_hat=0.0)
+        # NaN and inf passed the "<= 0" check, and a NaN c_hat "diverged" at step 0
+        for c_hat in (0.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidConfigError, match="c_hat must be positive and finite"):
+                ModelConfig(embedding=_identity_spec(2), activation=TANH,
+                            scaling=OURS, m=4, c_hat=c_hat)
 
 
 class TestInit:

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ptwide import datasets
 from ptwide.activations import LINEAR, RELU, TANH, leaky_relu
-from ptwide.datasets import gen_wei
+from ptwide.datasets import gen_random_label, gen_wei
 from ptwide.diagnostics import ACTIVE_CHUNK_BYTES
 from ptwide.embedding import EmbeddingSpec, embed_batch
 from ptwide.errors import InvalidConfigError
@@ -585,10 +586,8 @@ class TestRunTraining:
                              X, y, test_X=test_X, test_y=test_y, init=params)
         np.testing.assert_array_equal(trace.snapshots[0][0],
                                       forward(cfg, params, X).H)
-        np.testing.assert_array_equal(
-            trace.probe_snapshots[0],
-            np.stack((forward(cfg, params, X).H[:, 0],
-                      forward(cfg, params, test_X).H[:, 0]), axis=1))
+        np.testing.assert_array_equal(trace.probe_snapshots[0],
+                                      forward(cfg, params, test_X).H[:, 0])
         np.testing.assert_array_equal(params.W, W0)
         assert not np.array_equal(trace.snapshots[20][0], trace.snapshots[0][0])
 
@@ -672,6 +671,37 @@ class TestRunTraining:
         assert len(trace.test_errors) == len(trace.steps)
         assert trace.test_errors[-1] < trace.test_errors[0]
 
+    def test_default_metric_is_the_mse_test_error(self):
+        # without a metric the test error is datasets.test_error's MSE, bit for bit
+        cfg = ModelConfig(embedding=_identity_spec(3), activation=TANH,
+                          scaling=OURS, m=8, seed=4)
+        train, test = gen_random_label(6, 3, 2), gen_random_label(9, 3, 2, "test")
+        tc = TrainConfig(steps=10, record_every=2)
+        mse = lambda f, t: datasets.test_error(f, t, "random_label")
+        plain = run_training(cfg, tc, train.X, train.y, test_X=test.X, test_y=test.y)
+        scored = run_training(cfg, tc, train.X, train.y, test_X=test.X, test_y=test.y,
+                              test_metric=mse)
+        assert len(plain.test_errors) == 6
+        assert np.array(plain.test_errors).tobytes() == np.array(scored.test_errors).tobytes()
+
+    def test_empty_training_set_rejected(self):
+        # an (0, d) X used to fail with a reshape ValueError deep in the loop
+        cfg = ModelConfig(embedding=_identity_spec(3), activation=TANH,
+                          scaling=OURS, m=4, seed=4)
+        with pytest.raises(InvalidConfigError, match="the training set has 0 points"):
+            run_training(cfg, TrainConfig(steps=3), np.ones((0, 3)), np.zeros(0))
+
+    @pytest.mark.parametrize("snapshot_steps", [(), (0, 3)], ids=["no-snapshot", "snapshot"])
+    def test_empty_test_set_rejected(self, snapshot_steps):
+        # an empty test set used to record NaN test errors, and with a
+        # snapshot step to raise IndexError
+        cfg = ModelConfig(embedding=_identity_spec(3), activation=TANH,
+                          scaling=OURS, m=4, seed=4)
+        X, y = np.ones((4, 3)), np.zeros(4)
+        with pytest.raises(InvalidConfigError, match="test_X has 0 points"):
+            run_training(cfg, TrainConfig(steps=3, snapshot_steps=snapshot_steps), X, y,
+                         test_X=np.ones((0, 3)), test_y=np.zeros(0))
+
     @pytest.mark.parametrize("test_y", [None, np.zeros(3), np.zeros((4, 1))],
                              ids=["missing", "short", "column"])
     def test_test_set_needs_matching_targets(self, test_y):
@@ -704,6 +734,10 @@ class TestRunTraining:
             TrainConfig(steps=-1)
         with pytest.raises(InvalidConfigError):
             TrainConfig(steps=1, delta=0.0)
+        # NaN and inf passed the "<= 0" check
+        for delta in (float("nan"), float("inf")):
+            with pytest.raises(InvalidConfigError, match="delta must be positive and finite"):
+                TrainConfig(steps=1, delta=delta)
         with pytest.raises(InvalidConfigError):
             TrainConfig(steps=1, record_every=0)
         # a snapshot step the loop never reaches would be dropped without a word
