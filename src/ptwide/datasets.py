@@ -86,15 +86,23 @@ def gen_wei(n: int, d: int, seed: int, split: str = "train") -> Dataset:
     return Dataset(X=X, y=atoms[:, 2].copy(), kind="wei", seed=seed, split=split)
 
 
+KINDS = ("random_label", "quadratic_teacher", "wei")
+
+
+def check_kind(kind: str) -> None:
+    """Reject a dataset kind that ``generate`` cannot draw and ``test_error`` cannot score."""
+    if kind not in KINDS:
+        raise InvalidConfigError(f"unknown dataset kind {kind!r}")
+
+
 def generate(kind: str, n: int, d: int, seed: int, split: str, teacher_seed: int) -> Dataset:
     """The ``split`` draw of ``n`` points of the ``kind`` dataset in R^d."""
+    check_kind(kind)
     if kind == "random_label":
         return gen_random_label(n, d, seed, split)
     if kind == "quadratic_teacher":
         return gen_quadratic_teacher(n, d, teacher_seed, seed, split)
-    if kind == "wei":
-        return gen_wei(n, d, seed, split)
-    raise InvalidConfigError(f"unknown dataset kind {kind!r}")
+    return gen_wei(n, d, seed, split)
 
 
 def mse(f_vals: np.ndarray, y: np.ndarray) -> float:
@@ -103,8 +111,9 @@ def mse(f_vals: np.ndarray, y: np.ndarray) -> float:
 
 
 def test_error(f_vals: np.ndarray, y: np.ndarray, kind: str) -> float:
-    """Mean squared error, except for wei the 0-1 sign error, under which
-    sign(0) always counts as an error."""
+    """The ``kind`` dataset's test error: the mean squared error, except for wei
+    the 0-1 sign error, under which sign(0) always counts as an error."""
+    check_kind(kind)
     f_vals = np.asarray(f_vals, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if kind == "wei":

@@ -1,10 +1,10 @@
 """Config-driven reproduction of the three experiments and custom grids.
 
-Executes a grid of (n, seed, scaling) runs, evaluates the rate fit and the
-inequality monitors per run, and writes CSV/JSON artifacts: a per-run trace,
-a fixed-schema summary table, seed-averaged curves, and at each snapshot step
-the hidden features h_i of the first training point (h_train, the snapshot's
-H[:, 0]) and of the first test point.
+Executes a grid of (n, seed, scaling) runs, whose cells its ExperimentConfig
+checks when built, evaluates the rate fit and the inequality monitors per run,
+and writes CSV/JSON artifacts: a per-run trace, a fixed-schema summary table,
+seed-averaged curves, and at each snapshot step the hidden features h_i of the
+first training point (h_train, the snapshot's H[:, 0]) and of the first test point.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ def cast_for(hint):
     return {str: text, int: integer, Seed: seed_value, float: real}[hint]
 
 
-@dataclass
+@dataclass(frozen=True)
 class DatasetConfig:
     """``gen-data``: one split of a dataset."""
     dataset: str
@@ -124,7 +124,7 @@ class DatasetConfig:
     teacher_seed: Seed = 999
 
 
-@dataclass(kw_only=True)
+@dataclass(frozen=True, kw_only=True)
 class GramConfig(DatasetConfig):
     """``gram``: an embedding's Gram spectrum, or with ``mc_samples`` a Monte-Carlo
     estimate of its infinite-width limit, drawn from ``embedding_seed``, which
@@ -143,7 +143,7 @@ class GramConfig(DatasetConfig):
             check_mc_samples(self.mc_samples)
 
 
-@dataclass(kw_only=True)
+@dataclass(frozen=True, kw_only=True)
 class ConcentrationConfig(DatasetConfig):
     """``concentration``: random-feature Grams against a Monte-Carlo limit."""
     D_list: list[int]
@@ -166,10 +166,10 @@ PRESETS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """``train`` and ``experiment``: a (scalings x n_list x seeds) grid. A key with
-    no default on its field or in its experiment's row of PRESETS is required."""
+    """``train`` and ``experiment``: a (scalings x n_list x seeds) grid, whose axes and
+    cells are checked when it is built. A key with no default here or in PRESETS is required."""
     n_list: list[int]
     seeds: list[Seed]
     dataset: str
@@ -189,28 +189,29 @@ class ExperimentConfig:
     n_test: int = 500
     teacher_seed: Seed = 999
 
+    def __post_init__(self):
+        for key in ("n_list", "seeds", "scalings"):
+            values = getattr(self, key)
+            if not values:
+                raise InvalidConfigError(f"{key} must be non-empty")
+            if len(set(values)) != len(values):
+                raise InvalidConfigError(f"{key} repeats a value: {values}")
+        if self.n_test < 1:
+            raise InvalidConfigError(f"n_test must be >= 1, not {self.n_test}")
+        if self.experiment == "exp3" and self.D not in (None, self.m):
+            raise InvalidConfigError("exp3 requires D == m")
+        for cell in cells(self):
+            _cell(self, *cell)
+
 
 def parse_experiment_config(raw) -> ExperimentConfig:
-    """``parse`` with the experiment's row of PRESETS under ``raw``, then grid checks."""
+    """``parse`` with the experiment's row of PRESETS under ``raw``."""
     if isinstance(raw, dict):
         experiment = raw.get("experiment", ExperimentConfig.experiment)
         if not (isinstance(experiment, str) and experiment in PRESETS):
             raise InvalidConfigError(f"unknown experiment {experiment!r}")
         raw = {**PRESETS[experiment], **raw}
-    cfg = parse(ExperimentConfig, raw)
-    for key in ("n_list", "seeds", "scalings"):
-        values = getattr(cfg, key)
-        if not values:
-            raise InvalidConfigError(f"{key} must be non-empty")
-        if len(set(values)) != len(values):
-            raise InvalidConfigError(f"{key} repeats a value: {values}")
-    if cfg.n_test < 1:
-        raise InvalidConfigError(f"n_test must be >= 1, not {cfg.n_test}")
-    for name in cfg.scalings:
-        get_scaling(name)
-    if cfg.experiment == "exp3" and cfg.D not in (None, cfg.m):
-        raise InvalidConfigError("exp3 requires D == m")
-    return cfg
+    return parse(ExperimentConfig, raw)
 
 
 def rate_fit(steps, losses) -> tuple[float, float]:
@@ -259,8 +260,7 @@ def _cell(cfg: ExperimentConfig, scaling_name: str, n: int, seed: int):
     model_cfg = ModelConfig(embedding=spec, activation=activation, m=cfg.m, c_hat=cfg.c_hat,
                             scaling=get_scaling(scaling_name), seed=seed)
     snaps = cfg.snapshot_steps
-    if snaps is None:
-        snaps = sorted({0, cfg.steps // 2, cfg.steps})
+    snaps = sorted({0, cfg.steps // 2, cfg.steps}) if snaps is None else snaps
     tc = TrainConfig(steps=cfg.steps, delta=cfg.delta, record_every=cfg.record_every,
                      snapshot_steps=tuple(snaps))
     train_data = datasets.generate(cfg.dataset, n, cfg.d, seed, "train", cfg.teacher_seed)
@@ -271,12 +271,6 @@ def _cell(cfg: ExperimentConfig, scaling_name: str, n: int, seed: int):
 def cells(cfg: ExperimentConfig):
     """The grid's (scaling, n, seed) cells, in the order a grid runs them."""
     return itertools.product(cfg.scalings, cfg.n_list, cfg.seeds)
-
-
-def check_grid(cfg: ExperimentConfig) -> None:
-    """Raise the InvalidConfigError of the first bad cell, if any."""
-    for cell in cells(cfg):
-        _cell(cfg, *cell)
 
 
 def make_out_dir(path) -> None:
@@ -328,10 +322,9 @@ def write_summary(rows: list[dict], path) -> None:
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str) -> list[dict]:
-    """Check every cell, then run them all, write all artifacts to ``out_dir``
-    and return the summary rows. A diverged cell is recorded in its row and
-    the grid continues. Reruns of a config give bit-identical outputs."""
-    check_grid(cfg)
+    """Run every cell, write all artifacts to ``out_dir`` and return the
+    summary rows. A diverged cell is recorded in its row and the grid
+    continues. Reruns of a config give bit-identical outputs."""
     make_out_dir(out_dir)
     rows = []
     curves: dict[tuple, list[TrainingTrace]] = {}

@@ -415,6 +415,39 @@ class TestLemma1Monitor:
             lemma1_monitor(trace, tc, 1.0)
 
 
+@pytest.fixture(scope="module")
+def crit4_trace():
+    # crit4's shape (random labels, n = d = 20, identity, tanh, ours, m = 1024)
+    # at 2000 steps of delta 0.05: kappa ~ 1.2e5 and eta~0 ~ 0.20, so the
+    # bound is tight only where the loss has barely moved
+    data = gen_random_label(20, 20, seed=1)
+    cfg = ModelConfig(embedding=_identity_spec(20), activation=TANH, scaling=OURS,
+                      m=1024, seed=1)
+    trace = run_training(cfg, TrainConfig(steps=2000, delta=0.05, record_every=100),
+                         data.X, data.y)
+    rep = gram(cfg.embedding, EmbeddingWeights(), data.X)
+    return trace, theory_constants(TANH.active_region, rep.g_min, rep.g_max,
+                                   rep.lambda_min, rep.lambda_max, TANH.k_deriv, 1.0)
+
+
+class TestLemma1MonitorCanFail:
+    def test_trace_passes(self, crit4_trace):
+        trace, tc = crit4_trace
+        result = lemma1_monitor(trace, tc, 1.0)
+        assert result.passed and result.worst_margin > 0.1
+        assert tc.kappa > 1e4 and 0.1 < trace.eta_tilde0 < 0.5
+
+    def test_sign_flip_in_kappa_fails(self, crit4_trace):
+        trace, tc = crit4_trace
+        result = lemma1_monitor(trace, dataclasses.replace(tc, kappa=-tc.kappa), 1.0)
+        assert not result.passed and result.worst_margin < -1e4
+
+    def test_eta_tilde0_of_one_fails(self, crit4_trace):
+        trace, tc = crit4_trace
+        result = lemma1_monitor(dataclasses.replace(trace, eta_tilde0=1.0), tc, 1.0)
+        assert not result.passed and result.worst_margin < -0.5
+
+
 class TestPlMonitor:
     def _setup(self, n, d=4, m=8, seed=0, scaling=OURS):
         cfg = ModelConfig(embedding=_identity_spec(d), activation=TANH,

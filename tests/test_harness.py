@@ -8,7 +8,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import fields
+from dataclasses import MISSING, FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -19,7 +19,7 @@ from ptwide.cli import main as cli_main
 from ptwide.embedding import EmbeddingSpec
 from ptwide.errors import InvalidConfigError
 from ptwide.harness import (PRESETS, SUMMARY_COLUMNS, ConcentrationConfig, DatasetConfig,
-                            ExperimentConfig, GramConfig, cells, check_grid, parse,
+                            ExperimentConfig, GramConfig, cells, parse,
                             parse_experiment_config, rate_fit, run_experiment, run_single)
 from ptwide.datasets import test_error as eval_error
 from ptwide.model import OURS, ModelConfig, Parameters
@@ -92,6 +92,17 @@ class TestTestError:
         f = np.array([1.0, -1.0, 1.0, -1.0])
         y = np.array([1.0, 1.0, 1.0, 1.0])
         assert eval_error(f, y, "wei") == 0.5
+
+    def test_each_kind_has_its_metric(self):
+        f, y = np.array([1.0, -1.0]), np.array([1.0, 1.0])
+        assert eval_error(f, y, "random_label") == eval_error(f, y, "quadratic_teacher") == 2.0
+        assert eval_error(f, y, "wei") == 0.5
+
+    @pytest.mark.parametrize("kind", ["Wei", "mnist", ""])
+    def test_unknown_kind_rejected(self, kind):
+        # an unknown kind is not scored as MSE, as the CLI's generate would reject it
+        with pytest.raises(InvalidConfigError, match=re.escape(f"unknown dataset kind {kind!r}")):
+            eval_error([1.0, -1.0], [1.0, 1.0], kind)
 
 
 # A valid config of each schema, with every required key.
@@ -179,6 +190,56 @@ class TestConfigParsing:
             parse_experiment_config(raw)
         cfg = parse_experiment_config(self._base(experiment="exp3", m=64, D=64))
         assert cfg.D == 64
+
+
+# A valid grid built directly, without parse, and each fault of its axes
+# with what its error names.
+DIRECT = dict(experiment="exp1", n_list=[6], seeds=[1], dataset="random_label",
+              embedding="identity", activation="tanh", d=6, m=8, steps=5, n_test=5)
+EXP3 = dict(experiment="exp3", dataset="wei", embedding="random_feature", activation="relu")
+
+
+class TestExperimentConfigChecksItself:
+    @pytest.mark.parametrize("over, named", [
+        ({"n_list": [6, 6]}, "n_list repeats"), ({"seeds": [1, 1]}, "seeds repeats"),
+        ({"scalings": ["ours", "ours"]}, "scalings repeats"),
+        ({"n_list": []}, "n_list must be non-empty"), ({"seeds": []}, "seeds must be non-empty"),
+        ({"scalings": []}, "scalings must be non-empty"),
+        ({"n_test": 0}, "n_test must be >= 1"), ({**EXP3, "D": 16}, "exp3 requires D == m"),
+        ({"scalings": ["ours", "bogus"]}, "unknown scaling variant 'bogus'"),
+        ({"n_list": [6, 0]}, "n and d must be >= 1"), ({"D": 7}, "identity embedding takes no D"),
+    ], ids=["n_list-repeated", "seeds-repeated", "scalings-repeated", "n_list-empty",
+            "seeds-empty", "scalings-empty", "n_test-zero", "exp3-D-not-m",
+            "scaling-unknown", "n-zero-second", "identity-with-D"])
+    def test_direct_build_rejects_a_bad_grid(self, over, named):
+        with pytest.raises(InvalidConfigError, match=named):
+            ExperimentConfig(**{**DIRECT, **over})
+
+    def test_direct_build_of_a_good_grid(self):
+        assert ExperimentConfig(**DIRECT) == parse_experiment_config(DIRECT)
+        assert ExperimentConfig(**{**DIRECT, **EXP3, "D": 8}).D == 8
+
+    def test_replace_checks_again(self):
+        cfg = ExperimentConfig(**DIRECT)
+        assert replace(cfg, seeds=[7]).seeds == [7]
+        with pytest.raises(InvalidConfigError, match="seeds repeats a value"):
+            replace(cfg, seeds=[1, 1])
+        with pytest.raises(InvalidConfigError, match="n_test must be >= 1"):
+            replace(cfg, n_test=0)
+
+    def test_bad_grid_writes_nothing(self, tmp_path):
+        # the grid is rejected when it is built, so run_experiment never starts
+        with pytest.raises(InvalidConfigError):
+            run_experiment(ExperimentConfig(**{**DIRECT, "n_list": [6, 6]}), str(tmp_path / "o"))
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("cls", [DatasetConfig, GramConfig, ConcentrationConfig,
+                                     ExperimentConfig])
+    def test_fields_cannot_be_assigned(self, cls):
+        cfg = parse(cls, SCHEMAS[cls])
+        for f in fields(cls):
+            with pytest.raises(FrozenInstanceError):
+                setattr(cfg, f.name, getattr(cfg, f.name))
 
 
 @pytest.fixture(scope="module")
@@ -282,8 +343,8 @@ README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 def test_readme_example_configs_parse():
     # Each `cat > NAME.json <<'JSON'` block of the README is read as a config
-    # of the verb that the next line runs on NAME.json, and a grid's cells are
-    # checked, so an example that goes stale fails here in milliseconds.
+    # of the verb that the next line runs on NAME.json, which for a grid checks
+    # its cells too, so an example that goes stale fails here in milliseconds.
     text = README.read_text()
     examples = re.findall(r"cat > (\S+) <<'JSON'\n(.*?)\nJSON\nptwide (\S+) --config \1 ",
                           text, re.DOTALL)
@@ -291,9 +352,41 @@ def test_readme_example_configs_parse():
     for _, body, verb in examples:
         raw = json.loads(body)
         if verb in ("train", "experiment"):
-            check_grid(parse_experiment_config(raw))
+            parse_experiment_config(raw)
         else:
             parse(VERB_SCHEMAS[verb], raw)
+
+
+def test_readme_key_table_is_the_dataclasses():
+    # The README's table of each verb's keys copies the config schema, so each
+    # row must name exactly its dataclass's fields, the required ones (no
+    # default) in the middle column, and each default that reads as JSON must
+    # be the field's default where that is not None.
+    schemas = {**VERB_SCHEMAS, "train": ExperimentConfig, "experiment": ExperimentConfig}
+    rows = re.findall(r"^\| (`.*?`) \| (.*?) \| (.*?) \|$", README.read_text(), re.MULTILINE)
+    columns = {}            # verb -> (required keys cell, optional keys cell)
+    for verbs, *cols in rows:
+        cols = [re.sub(r"as `([\w-]+)`", lambda m, i=i: columns[m[1]][i], cell)
+                  for i, cell in enumerate(cols)]
+        columns.update((verb, cols) for verb in re.findall(r"`([\w-]+)`", verbs))
+    assert set(columns) == set(schemas)
+    for verb, (required, optional) in columns.items():
+        given = {f.name: f for f in fields(schemas[verb])}
+        required = re.findall(r"`(\w+)`", required)
+        defaults = dict(re.findall(r"`(\w+)` \(([^)]*)\)", optional))
+        assert set(re.findall(r"`(\w+)`", optional)) == set(defaults), verb
+        assert sorted([*required, *defaults]) == sorted(given), verb
+        assert {k for k, f in given.items()
+                if f.default is MISSING and f.default_factory is MISSING} == set(required), verb
+        for key, written in defaults.items():
+            f = given[key]
+            default = f.default_factory() if f.default is MISSING else f.default
+            try:
+                value = json.loads(written)
+            except ValueError:
+                continue        # d, m, "0, off", "0, steps // 2, steps"
+            if default is not None:
+                assert (value, type(value)) == (default, type(default)), (verb, key)
 
 
 class TestCli:
@@ -706,6 +799,24 @@ class TestCli:
         assert rc == 0
         payload = json.loads((tmp_path / "o" / "gram.json").read_text())
         assert payload["kind"] == "limit_mc" and payload["n"] == 200
+
+    @pytest.mark.parametrize("verb", ["train", "experiment"])
+    def test_seed_flag_writes_the_one_seed_grid(self, tmp_path, capsys, verb):
+        # --seed 7 prints and writes the bytes of the same config with "seeds": [7]
+        base = {"experiment": "exp1", "d": 6, "n_list": [4, 5], "m": 8, "seeds": [1, 2],
+                "scalings": ["ours", "ntk"], "steps": 10, "record_every": 5, "n_test": 5}
+        runs = {"flag": (base, ["--seed", "7"]), "config": ({**base, "seeds": [7]}, [])}
+        stdout = {}
+        for name, (payload, flags) in runs.items():
+            cfg = self._write(tmp_path / f"{name}.json", payload)
+            assert cli_main([verb, "--config", cfg, "--out", str(tmp_path / name), *flags]) == 0
+            stdout[name] = capsys.readouterr().out
+        assert stdout["flag"] == stdout["config"]
+        names = sorted(os.listdir(tmp_path / "flag"))
+        assert names == sorted(os.listdir(tmp_path / "config")) and "summary.csv" in names
+        for name in names:
+            assert (tmp_path / "flag" / name).read_bytes() == \
+                (tmp_path / "config" / name).read_bytes(), name
 
     def test_seed_override(self, tmp_path, capsys):
         cfg = self._write(tmp_path / "gen.json",
