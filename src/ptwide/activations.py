@@ -114,14 +114,14 @@ def leaky_relu(slope: float) -> ActivationSpec:
 
     def fn(u, out=None):
         u = np.asarray(u, dtype=np.float64)
-        # One mask, taken before out is written (out may be u) and inverted
-        # in place: first the entries to scale, then the entries to copy.
-        mask = np.greater(u, 0)
-        np.logical_not(mask, out=mask)
-        out = np.multiply(u, slope, out=out, where=mask)
-        np.logical_not(mask, out=mask)
-        np.copyto(out, u, where=mask)
-        return out
+        # One mask of the entries to scale, taken before out is written (out
+        # may be u); out then holds u and is scaled where the mask is set.
+        mask = np.less_equal(u, 0)
+        if out is None:
+            out = u.copy()
+        elif out is not u:
+            np.copyto(out, u)
+        return np.multiply(out, slope, out=out, where=mask)
 
     def deriv(u):
         u = np.asarray(u, dtype=np.float64)

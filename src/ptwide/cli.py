@@ -46,7 +46,7 @@ def _config(cls, args):
     if args.seed is not None and args.seed < 0:
         raise InvalidConfigError(f"--seed must be >= 0, not {args.seed}")
     if cls is harness.ExperimentConfig:
-        cfg, seed = harness.parse_experiment_config(raw), {"seeds": [args.seed]}
+        cfg, seed = harness.parse_experiment_config(raw), {"seeds": (args.seed,)}
     else:
         cfg, seed = harness.parse(cls, raw), {"seed": args.seed}
     return cfg if args.seed is None else dataclasses.replace(cfg, **seed)

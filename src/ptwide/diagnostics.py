@@ -36,10 +36,8 @@ REL_SLACK = 1e-6
 MC_CHUNK_BYTES = 2 * 2**20
 MC_MIN_ROWS = 256
 
-# Largest temporary of active_fraction, which runs at every record step, and
-# the rows it sums as one line of a chunk.
+# Largest mask of active_fraction (one row of H, if wider), run at every record step.
 ACTIVE_CHUNK_BYTES = 2 ** 16
-ACTIVE_GROUP = 16
 
 
 @dataclass(frozen=True)
@@ -207,42 +205,28 @@ def active_fraction(H: np.ndarray, interval: tuple[float, float]) -> tuple[np.nd
     """Per-data-point fraction of neurons with pre-activation inside interval.
 
     Returns the n-vector of fractions and its minimum over data points. The
-    neurons inside, those above lo less those at or above hi, are counted a
-    chunk of H at a time, so that no temporary is larger than
-    ACTIVE_CHUNK_BYTES; the counts divided by m are the same bits as the
-    mean over the rows of the (m, n) indicator. A chunk whose rows
-    ACTIVE_GROUP divides is summed as lines of ACTIVE_GROUP rows, then over
-    the group: at short rows, numpy's sum down the columns otherwise runs
-    one n-element inner loop per row. The counts are integers, so the
-    grouping changes no bits.
+    neurons inside, those above lo less those at or above hi, are counted in
+    one loop over chunks of rows of H, through one boolean mask of at most
+    max(ACTIVE_CHUNK_BYTES, n) bytes, plus the O(n) counts. A chunk has fewer
+    than 2**16 rows, so its uint16 count cannot wrap; the counts are integers,
+    so divided by m they are the same bits as the mean over the rows of the
+    (m, n) indicator.
     """
     lo, hi = interval
     if lo >= hi:
         raise InvalidConfigError(f"interval must satisfy I_l < I_r, got {interval}")
     m, n = H.shape
-    width = min(n, ACTIVE_CHUNK_BYTES // 2)     # columns of one uint16 partial count
-    # rows summed as one line, if their partial counts fit the budget
-    group = ACTIVE_GROUP if 2 * ACTIVE_GROUP * width <= ACTIVE_CHUNK_BYTES else 1
-    rows = (ACTIVE_CHUNK_BYTES - 1) // width // group * group   # < 2**16
-    mask = np.empty(min(rows, m) * width, dtype=bool)
-    partial = np.empty(group * width, dtype=np.uint16)
-    count = np.empty(width, dtype=np.uint16)
+    rows = max(1, (ACTIVE_CHUNK_BYTES - 1) // n)    # < 2**16
+    mask = np.empty(min(rows, m) * n, dtype=bool)
+    count = np.empty(n, dtype=np.uint16)
     counts = np.zeros(n, dtype=np.int64)
-    for j in range(0, n, width):
-        k = min(j + width, n)
-        for i in range(0, m, rows):
-            block = H[i:i + rows, j:k]
-            h, w = block.shape
-            g = group if h % group == 0 else 1
-            mask_b = mask[:block.size].reshape(block.shape)
-            lines, part = mask_b.reshape(h // g, g * w), partial[:g * w]
-            parts = part.reshape(g, w)
-            np.greater(block, lo, out=mask_b)
-            np.add.reduce(lines, axis=0, out=part)
-            counts[j:k] += np.add.reduce(parts, axis=0, out=count[:w])
-            np.greater_equal(block, hi, out=mask_b)
-            np.add.reduce(lines, axis=0, out=part)
-            counts[j:k] -= np.add.reduce(parts, axis=0, out=count[:w])
+    for i in range(0, m, rows):
+        block = H[i:i + rows]
+        mask_b = mask[:block.size].reshape(block.shape)
+        np.greater(block, lo, out=mask_b)
+        counts += np.add.reduce(mask_b, axis=0, out=count)
+        np.greater_equal(block, hi, out=mask_b)
+        counts -= np.add.reduce(mask_b, axis=0, out=count)
     per_a = counts / m
     return per_a, float(per_a.min())
 

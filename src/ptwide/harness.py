@@ -14,7 +14,7 @@ import json
 import math
 import os
 import typing
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -92,25 +92,33 @@ def real(value) -> float:
     return value
 
 
-def list_of(cast):
-    """A cast for a JSON list whose every item goes through ``cast``."""
-    def convert(value) -> list:
+def tuple_of(cast):
+    """A cast for a JSON list to a tuple of its items, each through ``cast``."""
+    def convert(value) -> tuple:
         if not isinstance(value, list):
             raise TypeError("expected a list")
-        return [cast(v) for v in value]
+        return tuple(cast(v) for v in value)
     return convert
 
 
 def cast_for(hint):
     """The cast for a config field annotated ``hint``: ``str``, ``int``, ``Seed``,
-    ``float``, ``list[T]``, or ``T | None``, under which null means the key was not given."""
+    ``float``, ``tuple[T, ...]``, or ``T | None``, where null means the key was not given."""
     args = typing.get_args(hint)
     if type(None) in args:
         cast = cast_for(*(a for a in args if a is not type(None)))
         return lambda value: None if value is None else cast(value)
-    if typing.get_origin(hint) is list:
-        return list_of(cast_for(*args))
+    if typing.get_origin(hint) is tuple:
+        return tuple_of(cast_for(args[0]))
     return {str: text, int: integer, Seed: seed_value, float: real}[hint]
+
+
+def freeze(cfg, *keys) -> None:
+    """Hold each list key of the frozen ``cfg`` as a tuple, which no caller can change."""
+    for key in keys:
+        value = getattr(cfg, key)
+        if value is not None:
+            object.__setattr__(cfg, key, tuple(value))
 
 
 @dataclass(frozen=True)
@@ -146,12 +154,13 @@ class GramConfig(DatasetConfig):
 @dataclass(frozen=True, kw_only=True)
 class ConcentrationConfig(DatasetConfig):
     """``concentration``: random-feature Grams against a Monte-Carlo limit."""
-    D_list: list[int]
+    D_list: tuple[int, ...]
     activation: str = "relu"
     trials: int = 5
     mc_samples: int = 1_000_000
 
     def __post_init__(self):
+        freeze(self, "D_list")
         check_concentration(self.D_list, self.trials)
         check_mc_samples(self.mc_samples)
 
@@ -166,18 +175,25 @@ PRESETS = {
 }
 
 
+def preset(experiment) -> dict:
+    """The PRESETS row of ``experiment``; any other name is an InvalidConfigError."""
+    if not (isinstance(experiment, str) and experiment in PRESETS):
+        raise InvalidConfigError(f"unknown experiment {experiment!r}")
+    return PRESETS[experiment]
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """``train`` and ``experiment``: a (scalings x n_list x seeds) grid, whose axes and
     cells are checked when it is built. A key with no default here or in PRESETS is required."""
-    n_list: list[int]
-    seeds: list[Seed]
+    n_list: tuple[int, ...]
+    seeds: tuple[Seed, ...]
     dataset: str
     embedding: str
     activation: str
     d: int
     experiment: str = "custom"
-    scalings: list[str] = field(default_factory=lambda: ["ours"])
+    scalings: tuple[str, ...] = ("ours",)
     m: int = 1024
     D: int | None = None
     depth: int = 0
@@ -185,17 +201,19 @@ class ExperimentConfig:
     steps: int = 1000
     delta: float = 1.0
     record_every: int = 10
-    snapshot_steps: list[int] | None = None
+    snapshot_steps: tuple[int, ...] | None = None
     n_test: int = 500
     teacher_seed: Seed = 999
 
     def __post_init__(self):
+        freeze(self, "n_list", "seeds", "scalings", "snapshot_steps")
+        preset(self.experiment)
         for key in ("n_list", "seeds", "scalings"):
             values = getattr(self, key)
             if not values:
                 raise InvalidConfigError(f"{key} must be non-empty")
             if len(set(values)) != len(values):
-                raise InvalidConfigError(f"{key} repeats a value: {values}")
+                raise InvalidConfigError(f"{key} repeats a value: {list(values)}")
         if self.n_test < 1:
             raise InvalidConfigError(f"n_test must be >= 1, not {self.n_test}")
         if self.experiment == "exp3" and self.D not in (None, self.m):
@@ -207,10 +225,7 @@ class ExperimentConfig:
 def parse_experiment_config(raw) -> ExperimentConfig:
     """``parse`` with the experiment's row of PRESETS under ``raw``."""
     if isinstance(raw, dict):
-        experiment = raw.get("experiment", ExperimentConfig.experiment)
-        if not (isinstance(experiment, str) and experiment in PRESETS):
-            raise InvalidConfigError(f"unknown experiment {experiment!r}")
-        raw = {**PRESETS[experiment], **raw}
+        raw = {**preset(raw.get("experiment", ExperimentConfig.experiment)), **raw}
     return parse(ExperimentConfig, raw)
 
 
@@ -260,9 +275,9 @@ def _cell(cfg: ExperimentConfig, scaling_name: str, n: int, seed: int):
     model_cfg = ModelConfig(embedding=spec, activation=activation, m=cfg.m, c_hat=cfg.c_hat,
                             scaling=get_scaling(scaling_name), seed=seed)
     snaps = cfg.snapshot_steps
-    snaps = sorted({0, cfg.steps // 2, cfg.steps}) if snaps is None else snaps
+    snaps = tuple(sorted({0, cfg.steps // 2, cfg.steps})) if snaps is None else snaps
     tc = TrainConfig(steps=cfg.steps, delta=cfg.delta, record_every=cfg.record_every,
-                     snapshot_steps=tuple(snaps))
+                     snapshot_steps=snaps)
     train_data = datasets.generate(cfg.dataset, n, cfg.d, seed, "train", cfg.teacher_seed)
     test_data = datasets.generate(cfg.dataset, cfg.n_test, cfg.d, seed, "test", cfg.teacher_seed)
     return model_cfg, tc, train_data, test_data

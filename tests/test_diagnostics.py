@@ -314,9 +314,9 @@ class TestActiveFraction:
                                   "m-above-2^16", "one-entry"])
     @pytest.mark.parametrize("interval", [(0.0, 3.0), (-1.0, 1.0), (-0.0, 0.5)])
     def test_matches_the_one_shot_formula(self, shape, interval):
-        # the chunked counts, summed ACTIVE_GROUP rows to a line or one, are
-        # the same bits as the mean of the whole indicator, with entries
-        # exactly at lo and hi, and +0.0 and -0.0
+        # the counts, summed a chunk of rows at a time, are the same bits as
+        # the mean of the whole indicator, with entries exactly at lo and hi,
+        # and +0.0 and -0.0
         rng = np.random.default_rng(15)
         H = rng.choice([0.0, -0.0, 3.0, -1.0, 1.0, 0.5, np.nan], size=shape)
         H[::2] += rng.standard_normal(H[::2].shape)
@@ -329,8 +329,10 @@ class TestActiveFraction:
         per_a, mn = active_fraction(np.full((2**16 + 1, 1), 0.5), (0.0, 1.0))
         assert per_a[0] == 1.0 and mn == 1.0
 
-    def test_temporaries_are_bounded(self):
-        m, n = 4096, 200
+    @pytest.mark.parametrize("shape", [(4096, 200), (3, 70_000)],
+                             ids=["rows-in-a-chunk", "row-wider-than-a-chunk"])
+    def test_temporaries_are_bounded(self, shape):
+        m, n = shape
         H = np.random.default_rng(16).standard_normal((m, n))
         tracemalloc.start()
         try:
@@ -338,8 +340,8 @@ class TestActiveFraction:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # one boolean chunk, the n counts and the n fractions, and numpy's
-        # casting buffer, but no (m, n) temporary
+        # one boolean chunk (one row when a row is wider), the n counts and
+        # the n fractions, and numpy's casting buffer, but no (m, n) temporary
         assert peak <= ACTIVE_CHUNK_BYTES + 3 * 8 * n + 2**15
 
 

@@ -146,7 +146,7 @@ class TestConfigParsing:
 
     def test_integral_floats_read_as_integers(self):
         cfg = parse_experiment_config(self._base(m=16.0, n_list=[10.0], steps=1e1))
-        assert (cfg.m, cfg.n_list, cfg.steps) == (16, [10], 10)
+        assert (cfg.m, cfg.n_list, cfg.steps) == (16, (10,), 10)
         assert all(type(v) is int for v in (cfg.m, cfg.n_list[0], cfg.steps))
 
     def test_real_keys_read_as_floats(self):
@@ -208,9 +208,10 @@ class TestExperimentConfigChecksItself:
         ({"n_test": 0}, "n_test must be >= 1"), ({**EXP3, "D": 16}, "exp3 requires D == m"),
         ({"scalings": ["ours", "bogus"]}, "unknown scaling variant 'bogus'"),
         ({"n_list": [6, 0]}, "n and d must be >= 1"), ({"D": 7}, "identity embedding takes no D"),
+        ({"experiment": "exp9"}, "unknown experiment 'exp9'"),
     ], ids=["n_list-repeated", "seeds-repeated", "scalings-repeated", "n_list-empty",
             "seeds-empty", "scalings-empty", "n_test-zero", "exp3-D-not-m",
-            "scaling-unknown", "n-zero-second", "identity-with-D"])
+            "scaling-unknown", "n-zero-second", "identity-with-D", "experiment-unknown"])
     def test_direct_build_rejects_a_bad_grid(self, over, named):
         with pytest.raises(InvalidConfigError, match=named):
             ExperimentConfig(**{**DIRECT, **over})
@@ -221,11 +222,33 @@ class TestExperimentConfigChecksItself:
 
     def test_replace_checks_again(self):
         cfg = ExperimentConfig(**DIRECT)
-        assert replace(cfg, seeds=[7]).seeds == [7]
+        assert replace(cfg, seeds=[7]).seeds == (7,)
         with pytest.raises(InvalidConfigError, match="seeds repeats a value"):
             replace(cfg, seeds=[1, 1])
         with pytest.raises(InvalidConfigError, match="n_test must be >= 1"):
             replace(cfg, n_test=0)
+
+    def test_caller_lists_are_copied(self):
+        # a checked grid holds tuples, so the caller's lists cannot change it
+        kw = {**DIRECT, "n_list": [6], "seeds": [1], "scalings": ["ours"],
+              "snapshot_steps": [0, 5]}
+        cfg = ExperimentConfig(**kw)
+        before = list(cells(cfg))
+        for key in ("n_list", "seeds", "scalings", "snapshot_steps"):
+            kw[key].append(kw[key][-1])
+            assert isinstance(getattr(cfg, key), tuple)
+        assert list(cells(cfg)) == before == [("ours", 6, 1)]
+        assert cfg.snapshot_steps == (0, 5)
+        for changed in (replace(cfg, n_list=[6, 7]),
+                        parse_experiment_config({**DIRECT, "n_list": [6, 7]})):
+            assert changed.n_list == (6, 7) and isinstance(changed.seeds, tuple)
+
+    def test_concentration_D_list_is_copied(self):
+        D_list = [16, 32]
+        cfg = ConcentrationConfig(dataset="wei", n=10, d=3, D_list=D_list)
+        D_list.insert(0, 64)
+        assert cfg.D_list == (16, 32)
+        assert parse(ConcentrationConfig, SCHEMAS[ConcentrationConfig]).D_list == (16, 32)
 
     def test_bad_grid_writes_nothing(self, tmp_path):
         # the grid is rejected when it is built, so run_experiment never starts
@@ -361,7 +384,7 @@ def test_readme_key_table_is_the_dataclasses():
     # The README's table of each verb's keys copies the config schema, so each
     # row must name exactly its dataclass's fields, the required ones (no
     # default) in the middle column, and each default that reads as JSON must
-    # be the field's default where that is not None.
+    # be the field's default where that is not None, a JSON list read as a tuple.
     schemas = {**VERB_SCHEMAS, "train": ExperimentConfig, "experiment": ExperimentConfig}
     rows = re.findall(r"^\| (`.*?`) \| (.*?) \| (.*?) \|$", README.read_text(), re.MULTILINE)
     columns = {}            # verb -> (required keys cell, optional keys cell)
@@ -386,6 +409,7 @@ def test_readme_key_table_is_the_dataclasses():
             except ValueError:
                 continue        # d, m, "0, off", "0, steps // 2, steps"
             if default is not None:
+                value = tuple(value) if isinstance(value, list) else value  # as parse reads it
                 assert (value, type(value)) == (default, type(default)), (verb, key)
 
 
