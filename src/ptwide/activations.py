@@ -7,9 +7,10 @@ by a finite surrogate, which is what the active-fraction diagnostics use.
 ``fn(u, out=None)`` returns sigma(u) as a fresh array, or writes it into
 ``out`` (which may be ``u`` itself) and returns ``out``; both give the same
 bits. ``value_and_deriv(H, value_out, deriv_out)`` writes sigma(H) and
-sigma'(H) into two caller-owned arrays of H's shape from one evaluation; it
-is what the GD loop calls every step. It gives exactly ``fn(H)`` and ``deriv(H)``,
-bit for bit. The output arrays must not alias H or each other.
+sigma'(H) into two caller-owned arrays of H's shape, which must not alias H
+or each other; the GD loop calls it every step. Each activation writes sigma
+once (``fn``) and sigma' once (from H and sigma(H)), and ``deriv(u)`` calls
+``value_and_deriv``, so the three agree by construction.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .errors import InvalidConfigError
 class ActivationSpec:
     name: str
     fn: Callable[..., np.ndarray]              # fn(u, out=None)
-    deriv: Callable[[np.ndarray], np.ndarray]
     value_and_deriv: Callable[[np.ndarray, np.ndarray, np.ndarray], None]
     lipschitz: float
     active_region: tuple[float, float]  # finite surrogate where needed
@@ -37,74 +37,47 @@ class ActivationSpec:
         if not lo < hi:
             raise InvalidConfigError(f"active region must satisfy I_l < I_r, got {self.active_region}")
 
+    def deriv(self, u) -> np.ndarray:
+        """sigma'(u) as a fresh array, from ``value_and_deriv``."""
+        u = np.asarray(u, dtype=np.float64)
+        value, out = np.empty_like(u), np.empty_like(u)
+        self.value_and_deriv(u, value, out)
+        return out
+
+
+def _activation(name: str, fn, deriv_from, **constants) -> ActivationSpec:
+    """The spec of sigma = ``fn`` whose sigma' is ``deriv_from(H, value, out)``,
+    which writes sigma'(H) into ``out`` given value = sigma(H)."""
+    def value_and_deriv(H, value_out, deriv_out):
+        fn(H, out=value_out)
+        deriv_from(H, value_out, deriv_out)
+
+    return ActivationSpec(name=name, fn=fn, value_and_deriv=value_and_deriv, **constants)
+
 
 def _relu(u, out=None):
     return np.maximum(u, 0.0, out=out)
-
-
-def _relu_deriv(u):
-    # Derivative taken as 0 at the kink.
-    return (np.asarray(u) > 0).astype(np.float64)
-
-
-def _relu_value_and_deriv(H, value_out, deriv_out):
-    np.maximum(H, 0.0, out=value_out)
-    np.greater(H, 0.0, out=deriv_out)
-
-
-def _tanh_deriv(u):
-    t = np.tanh(u)
-    return 1.0 - t * t
-
-
-def _tanh_value_and_deriv(H, value_out, deriv_out):
-    np.tanh(H, out=value_out)
-    np.multiply(value_out, value_out, out=deriv_out)
-    np.subtract(1.0, deriv_out, out=deriv_out)
 
 
 def _linear(u, out=None):
     return np.add(np.asarray(u, dtype=np.float64), 0.0, out=out)
 
 
-def _ones_like(u):
-    return np.ones_like(np.asarray(u, dtype=np.float64))
+def _one_minus_square(H, value, out):
+    np.subtract(1.0, np.multiply(value, value, out=out), out=out)
 
 
-def _linear_value_and_deriv(H, value_out, deriv_out):
-    np.add(H, 0.0, out=value_out)
-    deriv_out.fill(1.0)
+TANH = _activation("tanh", np.tanh, _one_minus_square, lipschitz=1.0,
+                   active_region=(-1.0, 1.0), k_deriv=1.0 - np.tanh(1.0) ** 2)  # ~0.419974
 
+# sigma' is taken as 0 at the kink
+RELU = _activation("relu", _relu, lambda H, value, out: np.greater(H, 0.0, out=out),
+                   lipschitz=1.0, active_region=(0.0, 3.0),  # finite surrogate of (0, inf)
+                   k_deriv=1.0)
 
-TANH = ActivationSpec(
-    name="tanh",
-    fn=np.tanh,
-    deriv=_tanh_deriv,
-    value_and_deriv=_tanh_value_and_deriv,
-    lipschitz=1.0,
-    active_region=(-1.0, 1.0),
-    k_deriv=1.0 - np.tanh(1.0) ** 2,  # ~0.419974
-)
-
-RELU = ActivationSpec(
-    name="relu",
-    fn=_relu,
-    deriv=_relu_deriv,
-    value_and_deriv=_relu_value_and_deriv,
-    lipschitz=1.0,
-    active_region=(0.0, 3.0),  # finite surrogate of (0, inf)
-    k_deriv=1.0,
-)
-
-LINEAR = ActivationSpec(
-    name="linear",
-    fn=_linear,
-    deriv=_ones_like,
-    value_and_deriv=_linear_value_and_deriv,
-    lipschitz=1.0,
-    active_region=(-3.0, 3.0),  # finite surrogate of the whole line
-    k_deriv=1.0,
-)
+LINEAR = _activation("linear", _linear, lambda H, value, out: out.fill(1.0),
+                     lipschitz=1.0, active_region=(-3.0, 3.0),  # finite surrogate of the whole line
+                     k_deriv=1.0)
 
 
 def leaky_relu(slope: float) -> ActivationSpec:
@@ -123,30 +96,14 @@ def leaky_relu(slope: float) -> ActivationSpec:
             np.copyto(out, u)
         return np.multiply(out, slope, out=out, where=mask)
 
-    def deriv(u):
-        u = np.asarray(u, dtype=np.float64)
-        return np.where(u > 0, 1.0, np.where(u < 0, slope, 0.0))
+    def deriv_from(H, value, out):
+        # each entry is slope + 0, 0 + 1 or 0 + 0, so the sum is exact
+        np.less(H, 0.0, out=out)
+        out *= slope
+        out += H > 0
 
-    def value_and_deriv(H, value_out, deriv_out):
-        # value_out first holds the H > 0 indicator; each deriv entry is
-        # 0 + 1, slope + 0 or 0 + 0, so the sum is exact.
-        np.greater(H, 0.0, out=value_out)
-        np.less(H, 0.0, out=deriv_out)
-        deriv_out *= slope
-        deriv_out += value_out
-        # For 0 < slope <= 1, max(u, slope*u) picks the same entry as fn.
-        np.multiply(H, slope, out=value_out)
-        np.maximum(H, value_out, out=value_out)
-
-    return ActivationSpec(
-        name=f"leaky_relu({slope})",
-        fn=fn,
-        deriv=deriv,
-        value_and_deriv=value_and_deriv,
-        lipschitz=1.0,
-        active_region=(-3.0, 3.0),
-        k_deriv=slope,
-    )
+    return _activation(f"leaky_relu({slope})", fn, deriv_from, lipschitz=1.0,
+                       active_region=(-3.0, 3.0), k_deriv=slope)
 
 
 _BY_NAME = {"tanh": TANH, "relu": RELU, "linear": LINEAR}

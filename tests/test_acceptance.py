@@ -149,13 +149,19 @@ def test_claim_configs_are_valid_grids():
 
 
 def test_criterion_3_linear_rate_convergence(claims):
-    results, elapsed = claims("crit3")
-    losses = [r.row["final_loss"] for r in results]
-    r2s = [r.row["rate_r2"] for r in results]
-    ok = all(lv < 1e-4 for lv in losses) and all(r > 0.9 for r in r2s) \
-        and elapsed < 180.0
-    report(3, "linear-rate convergence", ok,
-           f"max final loss {max(losses):.2e}, min R2 {min(r2s):.3f}, {elapsed:.0f}s")
+    # crit3 is Theorem 1's d >= n (identity, n = d); crit3_rf is Theorem 2's
+    # n > d through random features. The identity embedding at n > d is not
+    # checked: whether it stalls depends on the seed.
+    details, ok = [], True
+    for name in ("crit3", "crit3_rf"):
+        results, elapsed = claims(name)
+        losses = [r.row["final_loss"] for r in results]
+        r2s = [r.row["rate_r2"] for r in results]
+        ok &= all(lv < 1e-4 for lv in losses) and all(r > 0.9 for r in r2s) \
+            and elapsed < 180.0
+        details.append(f"{name}: max final loss {max(losses):.2e}, "
+                       f"min R2 {min(r2s):.3f}, {elapsed:.0f}s")
+    report(3, "linear-rate convergence", ok, "; ".join(details))
     assert ok
 
 

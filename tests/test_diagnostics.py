@@ -496,6 +496,30 @@ class TestPlMonitor:
         fd = (l1 - l0) / delta
         assert abs(fd - out.exact_dldt) < 1e-4 * max(1.0, abs(out.exact_dldt))
 
+    @pytest.mark.parametrize("activation", [TANH, RELU], ids=lambda a: a.name)
+    @pytest.mark.parametrize("scaling", [OURS, NTK, MF, ScalingVariant("x", 0.75, 0.25, 0.5)],
+                             ids=["ours", "ntk", "mf", "custom"])
+    def test_exact_equals_flow_derivative(self, scaling, activation):
+        # Under gradient flow W' = -m^lr grad_W, so dL/dt = -m^lr ||grad_W||_F^2
+        # on the explicit path; the Gram-space formula must give the same
+        # number. A G of other embedding weights gives another number, and
+        # the monitor still passes with it: exact <= bound holds for any G.
+        spec = EmbeddingSpec(kind="random_feature", d=4, D=16, activation=TANH, seed=2)
+        cfg = ModelConfig(embedding=spec, activation=activation, scaling=scaling,
+                          m=16, c_hat=0.7, seed=3)
+        params = init_params(cfg)
+        rng = np.random.default_rng(53)
+        X, y = rng.standard_normal((6, 4)), rng.standard_normal(6)
+        grad = grad_W(cfg, params, X, y, forward(cfg, params, X, y))
+        flow = -cfg.m ** scaling.lr_exponent * float(np.sum(grad * grad))
+        out = pl_monitor(cfg, params, X, y, gram(spec, params.embedding_weights, X))
+        assert abs(out.exact_dldt - flow) <= 1e-12 * abs(flow)
+        stale_spec = dataclasses.replace(spec, seed=9)
+        stale = pl_monitor(cfg, params, X, y,
+                           gram(stale_spec, build_embedding(stale_spec), X))
+        assert abs(stale.exact_dldt - flow) > 1e-3 * abs(flow)
+        assert stale.passed
+
 
 class TestFeatureMovement:
     def test_zero_for_identical(self):

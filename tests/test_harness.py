@@ -9,12 +9,13 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import MISSING, FrozenInstanceError, fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import ptwide
-from ptwide.activations import LINEAR
+from ptwide.activations import LINEAR, get_activation
 from ptwide.cli import main as cli_main
 from ptwide.embedding import EmbeddingSpec
 from ptwide.errors import InvalidConfigError
@@ -22,7 +23,7 @@ from ptwide.harness import (PRESETS, SUMMARY_COLUMNS, ConcentrationConfig, Datas
                             ExperimentConfig, GramConfig, cells, parse,
                             parse_experiment_config, rate_fit, run_experiment, run_single)
 from ptwide.datasets import test_error as eval_error
-from ptwide.model import OURS, ModelConfig, Parameters
+from ptwide.model import MF, NTK, OURS, ModelConfig, Parameters
 from ptwide.embedding import EmbeddingWeights
 from ptwide.numkernel import fmt
 from ptwide.train import TrainConfig, run_training
@@ -411,6 +412,25 @@ def test_readme_key_table_is_the_dataclasses():
             if default is not None:
                 value = tuple(value) if isinstance(value, list) else value  # as parse reads it
                 assert (value, type(value)) == (default, type(default)), (verb, key)
+
+
+def test_readme_scaling_table_and_activations_are_the_code():
+    # README's scaling table and model.py's docstring table copy the exponents
+    # (p, q, lr) of OURS, NTK and MF; README's list of activations names
+    # exactly what get_activation parses, the leaky_relu family by its slope.
+    text = README.read_text()
+    want = {s.name: (s.output_exponent, s.hidden_exponent, s.lr_exponent)
+            for s in (OURS, NTK, MF)}
+    readme_rows = re.findall(r"^\| (\w+) *\|" + r" *([\d/]+) *\|" * 3, text, re.MULTILINE)
+    doc_rows = re.findall(r"^ +(\w+)" + r" +([\d/]+)" * 3 + "$", ptwide.model.__doc__, re.MULTILINE)
+    for rows in (readme_rows, doc_rows):
+        assert {name: tuple(float(Fraction(v)) for v in row) for name, *row in rows} == want
+    sentence = re.search(r"Activations: (.*?)\.\n", text, re.DOTALL)[1]
+    names = re.findall(r"`([^`]+)`", sentence)
+    assert sorted(n for n in names if n != "leaky_relu(slope)") == sorted(ptwide.activations._BY_NAME)
+    assert "leaky_relu(slope)" in names
+    for name in names:
+        get_activation(name.replace("slope", "0.5"))     # raises on a name it cannot parse
 
 
 class TestCli:

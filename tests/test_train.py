@@ -176,6 +176,52 @@ class TestRunTraining:
             assert abs(lv - expected) < 1e-10 * max(1.0, expected)
             expected *= factor
 
+    @pytest.mark.parametrize("kind, scaling, m, n, n_test", [
+        *[("random_feature", scaling, *shape) for scaling in (OURS, NTK, MF)
+          for shape in ((64, 5, 7), (1024, 96, 100), (256, 40, 30))],
+        *[("identity", scaling, *shape) for scaling in (OURS, NTK)
+          for shape in ((1024, 96, 100), (256, 40, 30))],
+    ], ids=lambda v: getattr(v, "name", None))
+    def test_linear_gd_closed_form(self, kind, scaling, m, n, n_test):
+        # With sigma linear, f is linear in W and GD on the residual is
+        # r_{t+1} = (I - A) r_t, A = lam delta beta^2 alpha^2 (sum c_i^2) Phi Phi^T;
+        # one eigh of A gives every step's loss, and the test outputs are
+        # f_t(x) = f_0(x) - A(x, X) sum_{s<t} r_s. beta, alpha and lam come
+        # from the exponents, so a scaling error shared by the kernel path and
+        # the explicit path shows here. mf needs D = m, so identity (D = d)
+        # runs ours and ntk only, at n > d. (1024, 96, 100) runs two row
+        # blocks and two test column halves.
+        d, steps = 20, 200
+        assert min(m * n * n, m * n * n_test) >= TWO_BLOCK_MIN_MN2 or m < 1024
+        D = m if kind == "random_feature" else d
+        spec = EmbeddingSpec(kind=kind, d=d, D=D,
+                             activation=TANH if kind == "random_feature" else None, seed=2)
+        rng = np.random.default_rng(m + n)
+        X, y = rng.standard_normal((n, d)), rng.standard_normal(n)
+        test_X, test_y = rng.standard_normal((n_test, d)), rng.standard_normal(n_test)
+        cfg = ModelConfig(embedding=spec, activation=LINEAR, scaling=scaling, m=m, seed=5)
+        params = init_params(cfg)
+        beta = m ** -scaling.output_exponent
+        alpha = D ** -scaling.hidden_exponent
+        lam = m ** scaling.lr_exponent
+        Phi = embed_batch(spec, params.embedding_weights, X)
+        Phi_t = embed_batch(spec, params.embedding_weights, test_X)
+        unit = lam * beta ** 2 * alpha ** 2 * float(params.c @ params.c)
+        delta = 0.9 / np.linalg.eigvalsh(unit * (Phi @ Phi.T))[-1]
+        eigvals, Q = np.linalg.eigh(delta * unit * (Phi @ Phi.T))
+        f0_weights = beta * alpha * (params.c @ params.W)       # f_0(x) = f0_weights . Phi(x)
+        z = (1.0 - eigvals) ** np.arange(steps + 1)[:, None] * (Q.T @ (Phi @ f0_weights - y))
+        losses = 0.5 * np.sum(z * z, axis=1)                     # z[t] = Q^T r_t
+        r_sums = np.cumsum(np.vstack([np.zeros(n), z[:-1]]), axis=0) @ Q.T
+        f_test = Phi_t @ f0_weights - r_sums @ (delta * unit * (Phi @ Phi_t.T))
+        test_mse = np.mean((f_test - test_y) ** 2, axis=1)
+
+        trace = run_training(cfg, TrainConfig(steps=steps, delta=delta, record_eta=False),
+                             X, y, test_X=test_X, test_y=test_y)
+        assert not trace.diverged and trace.steps == list(range(steps + 1))
+        np.testing.assert_allclose(trace.losses, losses, rtol=1e-9, atol=1e-12 * losses[0])
+        np.testing.assert_allclose(trace.test_errors, test_mse, rtol=1e-12)
+
     def test_zero_steps_records_init_only(self):
         cfg = ModelConfig(embedding=_identity_spec(2), activation=TANH,
                           scaling=OURS, m=4, seed=1)
