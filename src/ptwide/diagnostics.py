@@ -39,6 +39,9 @@ MC_MIN_ROWS = 256
 # Largest mask of active_fraction (one row of H, if wider), run at every record step.
 ACTIVE_CHUNK_BYTES = 2 ** 16
 
+# Bytes of pl_monitor's two (rows, n) buffers of S and S G together.
+PL_CHUNK_BYTES = 2 ** 18
+
 
 @dataclass(frozen=True)
 class GramReport:
@@ -294,11 +297,30 @@ def pl_monitor(config: ModelConfig, params: Parameters, X: np.ndarray,
     exact = dL/dt under gradient flow = -k sum_i s_i^T G s_i with s_i[a] =
     r_a sigma'(h_ia) and k = ``config.flow_prefactor``; bound = -k lambda_min
     sum_ia s_ia^2. exact <= bound <= 0 is algebraic at any parameter point.
+
+    S and S G are formed over chunks of rows of H, in two buffers that share
+    PL_CHUNK_BYTES (one row each, if a row is wider), so past ``forward``'s
+    H no (m, n) array is made. The sums are grouped by chunk, so they may
+    differ in the last bits from sums over whole arrays.
     """
     state = forward(config, params, X, y)
-    S = config.activation.deriv(state.H) * state.residual[None, :]   # (m, n)
-    exact = -config.flow_prefactor * float(np.sum((S @ gram_report.G) * S))
-    bound = -(config.flow_prefactor * gram_report.lambda_min) * float(np.sum(S * S))
+    H, r, G = state.H, state.residual, gram_report.G
+    m, n = H.shape
+    rows = max(1, PL_CHUNK_BYTES // (16 * n))
+    bufs = np.empty((2, min(rows, m) * n))
+    quadratic = squares = 0.0
+    for i in range(0, m, rows):
+        H_b = H[i:i + rows]
+        SG, S = (buf[:H_b.size].reshape(H_b.shape) for buf in bufs)
+        config.activation.value_and_deriv(H_b, SG, S)    # sigma(H_b) in SG is not read
+        S *= r
+        np.matmul(S, G, out=SG)
+        SG *= S
+        quadratic += float(SG.sum())
+        S *= S
+        squares += float(S.sum())
+    exact = -config.flow_prefactor * quadratic
+    bound = -(config.flow_prefactor * gram_report.lambda_min) * squares
     slack = ABS_SLACK + REL_SLACK * abs(bound)
     passed = (exact <= bound + slack) and (bound <= slack)
     return PLReport(exact_dldt=exact, bound=bound, passed=passed)

@@ -146,6 +146,7 @@ def forward(config: ModelConfig, params: Parameters, X: np.ndarray,
     """Evaluate the model on a data batch (n, d)."""
     Phi = embed_batch(config.embedding, params.embedding_weights, X)  # (n, D)
     H = preactivations(config, params.W, Phi)
+    del Phi     # before sigma(H) exists
     if not np.all(np.isfinite(H)):
         i, a = np.argwhere(~np.isfinite(H))[0]
         raise NumericError(f"non-finite pre-activation at neuron {i}, data point {a}")

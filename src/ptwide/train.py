@@ -46,30 +46,36 @@ two CPUs and BLAS runs one thread. Without the thread the second block runs
 on the caller, just before the first; the blocks share no output, so
 results do not depend on the CPU or BLAS thread count.
 
-Memory is the live arrays of the loop and no more. Each test half is
+A record step allocates no (m, n) or (m, n_test) array. Each test half is
 evaluated TEST_TILE columns at a time, from H_test0 and Ktest, through one
 (m, TEST_TILE) buffer per half that holds a tile's H_t and then sigma(H_t)
 in place (the last, narrower tile uses a prefix of it), so there is no
-(m, n_test) H_t and a record step allocates no (m, n) or (m, n_test)
-array. The tile width is fixed, because it can move the last bits of f_t:
-at exp3's shape (m = 1024, n = 200, column halves of 248 and 252) the
-tiles of 64 give other bits than one product per half, as OpenBLAS's
+(m, n_test) H_t. The tile width is fixed, because it can move the last bits
+of f_t: at exp3's shape (m = 1024, n = 200, column halves of 248 and 252)
+the tiles of 64 give other bits than one product per half, as OpenBLAS's
 product over the 252 columns is not bit-equal to that over its tiles.
 f_t does not depend on the helper or on the CPU or BLAS thread count.
 
-The (m, D) W is live only at the two ends of a run, so the loop holds
-O(m (n + n_test)) and a cell never holds two (m, D) arrays. Before the
-loop, W (drawn by ``init_params``, or the given ``init``) forms Kmat and
-Ktest, which need no W, then H_test0, after which Phi_t is dropped, and
-H; W and Phi (n, D) are dropped before the step buffers exist. No snapshot
-copies H at step 0, and the snapshot of the final step keeps H itself.
-After the loop the step and test-set buffers are released, Phi is embedded
-again and W drawn a second time from the same stream by
-``model.init_weights``, the W-only draw that ``init_params`` makes, so it
-has the same bits (a given init's W is copied, never written). The step-0
-snapshot is built from it by the same ``model.preactivations`` as the
-initial H, and W then becomes the final W in place, W_BLOCK_BYTES of
-Pacc @ Phi at a time: t = Pacc @ Phi[:, a:b], t *= scale, W[:, a:b] -= t.
+Memory is the live arrays of one of a run's three phases, and a run never
+holds two (m, D) arrays; the (m, D) W is live only in the first and last.
+- The start. W (drawn by ``init_params``, or the given ``init``) and the
+  embeddings Phi (n, D) and Phi_t (n_test, D) form Kmat and Ktest, which
+  need no W, then H_test0 = alpha W Phi_t^T. Phi is dropped before H_test0
+  exists, and embedded again for H once Phi_t is dropped (one more embed
+  of the training set, only with a test set). So the start holds W, Phi_t,
+  H_test0, Kmat and Ktest, the least that whole products allow, and this
+  trio binds at D = m with n_test > n (exp3's shape). W and Phi are
+  dropped before the step and test-tile buffers exist.
+- The loop: O(m (n + n_test)) and no (m, D) array. No snapshot copies H at
+  step 0, and the snapshot of the final step keeps H itself.
+- The final W. The step and test-set buffers and Kmat are released, Phi is
+  embedded again and W drawn a second time from the same stream by
+  ``model.init_weights``, the W-only draw that ``init_params`` makes, so it
+  has the same bits (a given init's W is copied, never written). The
+  step-0 snapshot is built from it by the same ``model.preactivations`` as
+  the initial H, and W then becomes the final W in place, W_BLOCK_BYTES of
+  Pacc @ Phi at a time: t = Pacc @ Phi[:, a:b], t *= scale,
+  W[:, a:b] -= t.
 Under OpenBLAS these column blocks gave the bits of the whole product
 (checked at exp3's shape and at n > 256) while blocks of W @ Phi_t^T did
 not, so the initial products are formed whole.
@@ -189,12 +195,18 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
     k_scale = lam * delta * beta * alpha * alpha
     Kmat = k_scale * (Phi @ Phi.T)
 
-    test_blocks = []
     if has_test:
         Phi_t = embed_batch(config.embedding, ew, test_X)
         Ktest = k_scale * (Phi @ Phi_t.T)
+        Phi = None      # embedded again for H, so that it is not live with H_test0
         H_test0 = preactivations(config, W, Phi_t)
         del Phi_t
+        Phi = embed_batch(config.embedding, ew, X)
+    H = preactivations(config, W, Phi)                                    # (m, n)
+    W = Phi = None     # both are built again for the final W
+
+    test_blocks = []
+    if has_test:
         test_metric = test_metric or mse
         n_test = H_test0.shape[1]
         f_t = np.empty(n_test)
@@ -203,8 +215,6 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
                 else (0, n_test))
         test_blocks = [(lo, hi, np.empty(m * min(TEST_TILE, hi - lo)))
                        for lo, hi in zip(cols, cols[1:])]
-    H = preactivations(config, W, Phi)                                    # (m, n)
-    W = Phi = None     # both are built again for the final W
 
     trace = TrainingTrace()
     Pacc = np.zeros_like(H)
@@ -298,10 +308,10 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
             in_blocks(advance, blocks)
 
     # W - scale * (Pacc @ Phi) needs only W, Pacc and Phi: drop the step and
-    # test-set buffers (the step blocks hold views of them) before Phi and W
+    # test-set arrays (the step blocks hold views of them) before Phi and W
     # exist again, then turn W into the final W in place, a column block at
     # a time, so there is no (m, D) temporary.
-    H = sig = P = c_rows = blocks = test_blocks = H_test0 = Ktest = None
+    H = sig = P = c_rows = blocks = test_blocks = H_test0 = Kmat = Ktest = None
     Phi = embed_batch(config.embedding, ew, X)
     W = init_weights(config) if init is None else np.array(init.W, dtype=np.float64)
     if 0 in trace.snapshots:

@@ -1,11 +1,24 @@
-"""Shared reporting for the acceptance suite.
+"""Shared test helpers: the acceptance suite's reporting and traced peaks.
 
 Each acceptance test registers a one-line verdict before asserting, so the
 terminal summary always shows a pass/fail line per criterion even when the
 assertion aborts the test body.
 """
 
+import tracemalloc
+
 ACCEPTANCE_RESULTS = []
+
+
+def traced_peak(fn, *args, **kwargs):
+    """fn(*args, **kwargs) and the peak bytes that tracemalloc traced during it."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def report(number: int, name: str, passed: bool, detail: str = "") -> None:

@@ -1,10 +1,10 @@
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from ptwide.activations import LINEAR, RELU, TANH, leaky_relu
+from conftest import traced_peak
 
 ACTIVATIONS = [TANH, RELU, LINEAR, leaky_relu(0.3), leaky_relu(1.0)]
 
@@ -109,12 +109,7 @@ def test_leaky_relu_fn_holds_one_mask(into):
     # at most one u.size-byte bool mask lives at a time (plus a few KiB of
     # ufunc bookkeeping); a fresh result array is not counted
     u = np.random.default_rng(7).standard_normal((1000, 200))
-    tracemalloc.start()
-    try:
-        result = leaky_relu(0.1).fn(u, out=u if into == "u" else None)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    result, peak = traced_peak(leaky_relu(0.1).fn, u, out=u if into == "u" else None)
     if into == "fresh":
         peak -= result.nbytes
     assert peak <= u.size + 2 ** 12

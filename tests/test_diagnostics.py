@@ -3,7 +3,6 @@ import math
 import os
 import sys
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +11,8 @@ import ptwide.diagnostics as diagnostics_module
 import ptwide.helper as helper_module
 from ptwide.activations import LINEAR, RELU, TANH, leaky_relu
 from ptwide.datasets import gen_random_label
-from ptwide.diagnostics import (ABS_SLACK, ACTIVE_CHUNK_BYTES, MC_CHUNK_BYTES,
-                                active_fraction, concentration_probe, gram, gram_limit_mc,
+from ptwide.diagnostics import (ABS_SLACK, ACTIVE_CHUNK_BYTES, MC_CHUNK_BYTES, PL_CHUNK_BYTES,
+                                REL_SLACK, active_fraction, concentration_probe, gram, gram_limit_mc,
                                 lemma1_monitor, pl_monitor, shrink_interval,
                                 theory_constants)
 from ptwide.embedding import EmbeddingSpec, EmbeddingWeights, build_embedding
@@ -24,6 +23,7 @@ from ptwide.train import TrainConfig, run_training
 from oracle import (_identity_spec, feature_movement, gd_step, grad_W, loss,
                     relu_closed_form_kernel)
 from oracle import active_fraction as oracle_active_fraction
+from conftest import traced_peak
 
 
 class TestGram:
@@ -133,12 +133,7 @@ class TestGramLimitMc:
         # a (chunk, n, n) product tensor alone would be 40 MB here
         n, chunk = 50, 2000
         X = np.random.default_rng(12).standard_normal((n, 10))
-        tracemalloc.start()
-        try:
-            gram_limit_mc(RELU, X, 4000, seed=1, chunk=chunk)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(gram_limit_mc, RELU, X, 4000, seed=1, chunk=chunk)
         assert peak < 16 * chunk * n * 8
 
     @pytest.mark.parametrize("n, d", [(20, 20), (200, 50)])
@@ -146,14 +141,8 @@ class TestGramLimitMc:
         # without a chunk, the draw and activation buffers share the budget at
         # any shape; the rest is O(n^2), and a longer run needs no more
         X = np.random.default_rng(17).standard_normal((n, d))
-        peaks = []
-        for samples in (40_000, 80_000):
-            tracemalloc.start()
-            try:
-                gram_limit_mc(TANH, X, samples, seed=1)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+        peaks = [traced_peak(gram_limit_mc, TANH, X, samples, seed=1)[1]
+                 for samples in (40_000, 80_000)]
         assert max(peaks) <= MC_CHUNK_BYTES + 10 * n * n * 8 + 2 ** 16
         assert abs(peaks[0] - peaks[1]) <= 2 ** 16
 
@@ -334,12 +323,7 @@ class TestActiveFraction:
     def test_temporaries_are_bounded(self, shape):
         m, n = shape
         H = np.random.default_rng(16).standard_normal((m, n))
-        tracemalloc.start()
-        try:
-            active_fraction(H, (0.0, 3.0))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(active_fraction, H, (0.0, 3.0))
         # one boolean chunk (one row when a row is wider), the n counts and
         # the n fractions, and numpy's casting buffer, but no (m, n) temporary
         assert peak <= ACTIVE_CHUNK_BYTES + 3 * 8 * n + 2**15
@@ -519,6 +503,50 @@ class TestPlMonitor:
                            gram(stale_spec, build_embedding(stale_spec), X))
         assert abs(stale.exact_dldt - flow) > 1e-3 * abs(flow)
         assert stale.passed
+
+    @staticmethod
+    def _random_feature_cell(activation, scaling, m, n, seed=4):
+        """A cell with D = m, its data and the training set's Gram."""
+        spec = EmbeddingSpec(kind="random_feature", d=4, D=m, activation=RELU, seed=seed)
+        cfg = ModelConfig(embedding=spec, activation=activation, scaling=scaling, m=m,
+                          c_hat=0.7, seed=seed)
+        params = init_params(cfg)
+        rng = np.random.default_rng(seed + 60)
+        X, y = rng.standard_normal((n, 4)), rng.standard_normal(n)
+        return cfg, params, X, y, gram(spec, params.embedding_weights, X)
+
+    @pytest.mark.parametrize("activation", [TANH, RELU], ids=lambda a: a.name)
+    @pytest.mark.parametrize("scaling", [OURS, NTK, MF], ids=lambda s: s.name)
+    def test_row_chunks_match_the_whole_arrays(self, scaling, activation):
+        # three full row chunks and a partial one give the numbers of S and
+        # S G formed whole, up to the grouping of the sums
+        m, n = 1000, 50
+        rows = PL_CHUNK_BYTES // (16 * n)
+        assert m > rows and m % rows != 0
+        cfg, params, X, y, rep = self._random_feature_cell(activation, scaling, m, n)
+        out = pl_monitor(cfg, params, X, y, rep)
+        state = forward(cfg, params, X, y)
+        H = state.H
+        sigma_prime = 1.0 - np.tanh(H) ** 2 if activation is TANH else (H > 0).astype(float)
+        S = sigma_prime * state.residual[None, :]
+        k = cfg.flow_prefactor
+        exact = -k * float(np.sum((S @ rep.G) * S))
+        bound = -k * rep.lambda_min * float(np.sum(S * S))
+        slack = ABS_SLACK + REL_SLACK * abs(bound)
+        assert abs(out.exact_dldt - exact) <= 1e-13 * abs(exact)
+        assert abs(out.bound - bound) <= 1e-13 * abs(bound)
+        assert out.passed == (exact <= bound + slack and bound <= slack)
+
+    def test_peak_is_two_H_and_the_chunk_budget(self):
+        # at exp3's shape (D = m) forward holds H with Phi and then with
+        # sigma(H), and the chunks add their two buffers: no (m, n) S, S G
+        # or (S G) * S, and Phi is gone before sigma(H) exists
+        m, n = 1024, 200
+        cfg, params, X, y, rep = self._random_feature_cell(RELU, OURS, m, n)
+        pl_monitor(cfg, params, X, y, rep)      # the first call imports modules
+        out, peak = traced_peak(pl_monitor, cfg, params, X, y, rep)
+        assert out.passed
+        assert peak <= 2 * m * n * 8 + PL_CHUNK_BYTES + 2 ** 14
 
 
 class TestFeatureMovement:

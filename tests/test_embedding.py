@@ -1,11 +1,10 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from ptwide.activations import RELU, TANH
 from ptwide.embedding import EmbeddingSpec, EmbeddingWeights, build_embedding, embed_batch
 from ptwide.errors import InvalidConfigError, StructuralError
+from conftest import traced_peak
 
 
 class TestValidation:
@@ -151,11 +150,6 @@ def test_embed_batch_makes_one_array_per_layer(kind, depth, arrays):
     spec = EmbeddingSpec(kind=kind, d=d, D=D, depth=depth, activation=RELU, seed=1)
     weights = build_embedding(spec)
     X = np.random.default_rng(2).standard_normal((n, d))
-    tracemalloc.start()
-    try:
-        Phi = embed_batch(spec, weights, X)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    Phi, peak = traced_peak(embed_batch, spec, weights, X)
     assert Phi.shape == (n, D)
     assert peak <= arrays * n * D * 8 + 2**16

@@ -7,7 +7,6 @@ import pathlib
 import re
 import subprocess
 import sys
-import tracemalloc
 from dataclasses import MISSING, FrozenInstanceError, fields, replace
 from fractions import Fraction
 
@@ -27,6 +26,7 @@ from ptwide.model import MF, NTK, OURS, ModelConfig, Parameters
 from ptwide.embedding import EmbeddingWeights
 from ptwide.numkernel import fmt
 from ptwide.train import TrainConfig, run_training
+from conftest import traced_peak
 
 
 def _has_mallopt() -> bool:
@@ -323,12 +323,7 @@ class TestRunExperiment:
             "experiment": "exp3", "n_list": [20], "m": m, "seeds": [1],
             "scalings": [scaling], "steps": 3, "record_every": 1, "n_test": 20})
         run_single(cfg, scaling, 20, 1)    # the first call imports modules, which are traced
-        tracemalloc.start()
-        try:
-            result = run_single(cfg, scaling, 20, 1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        result, peak = traced_peak(run_single, cfg, scaling, 20, 1)
         assert math.isfinite(result.row["final_loss"])
         assert peak <= 1.75 * m * m * 8
 

@@ -2,7 +2,6 @@ import dataclasses
 import os
 import re
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +21,7 @@ from ptwide.train import (TEST_TILE, TWO_BLOCK_MIN_MN2, W_BLOCK_BYTES, TrainConf
                           run_training, trace_to_csv)
 from oracle import (_check_kernel_path_against_explicit, _check_kernel_path_on,
                     _identity_spec, _manual_params, gd_step, grad_W, loss)
+from conftest import traced_peak
 
 
 def _kahan_half_sum_squares(r):
@@ -371,13 +371,15 @@ class TestRunTraining:
                                                ("identity", 8, 2048, 16)],
                              ids=["random_feature", "identity", "one-block"])
     def test_peak_memory_is_the_live_arrays(self, kind, D, m, n):
-        # the peak is the larger of the loop's arrays and those left when the
-        # (m, D) final W is built, not their sum. The loop has four m x n
-        # step buffers, the (m, n) copy of c, H_test0 and one (m, TEST_TILE)
-        # buffer per test column half of three full tiles and a narrow one,
-        # but no (m, n_test) H_t, no Phi and no copy of H at step 0. The
-        # final snapshot is H itself, and that of step 0 is built after the
-        # loop
+        # a run has three phases, and the peak is the largest, not their sum.
+        # The start holds W, Phi_t, H_test0, Kmat and Ktest; W is the given
+        # init here, made before tracing, so the start stays below the loop
+        # (test_start_holds_no_training_embedding checks it where it binds).
+        # The loop has four m x n step buffers, the (m, n) copy of c, H_test0
+        # and one (m, TEST_TILE) buffer per test column half of three full
+        # tiles and a narrow one, but no (m, n_test) H_t, no Phi and no copy
+        # of H at step 0. At the final W, the final snapshot is H itself, and
+        # that of step 0 is built after the loop
         n_test, d, f8 = 400, 8, 8
         assert (m * n * n >= TWO_BLOCK_MIN_MN2) == (n == 64)
         assert m * n * n_test >= TWO_BLOCK_MIN_MN2 and n_test > 2 * TEST_TILE
@@ -388,12 +390,8 @@ class TestRunTraining:
         test_X, test_y = rng.standard_normal((n_test, d)), rng.standard_normal(n_test)
         params = init_params(cfg)
         tc = TrainConfig(steps=3, delta=0.1, snapshot_steps=(0, 3))
-        tracemalloc.start()
-        try:
-            run_training(cfg, tc, X, y, test_X=test_X, test_y=test_y, init=params)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(run_training, cfg, tc, X, y, test_X=test_X, test_y=test_y,
+                              init=params)
         # H, Pacc, sigma, sigma' and the copy of c; H_test0, two tile
         # buffers; Kmat, Ktest
         loop = (5 * m * n + m * n_test + 2 * m * TEST_TILE + n * n + n * n_test) * f8
@@ -525,6 +523,24 @@ class TestRunTraining:
         assert not trace.diverged
         assert trace.final_params.W.tobytes() == W.tobytes()
 
+    def test_start_holds_no_training_embedding(self):
+        # at exp3's shape (D = m, n_test > n) the start binds: W, Phi_t and
+        # H_test0 = alpha W Phi_t^T must be live together, with Kmat and Ktest,
+        # but the (n, D) Phi of the training set is embedded again for H, not
+        # kept beside them. The rest is the embedding weights and c.
+        m = D = 1024
+        n, n_test, d, f8 = 200, 500, 50, 8
+        spec = EmbeddingSpec(kind="random_feature", d=d, D=D, activation=RELU, seed=1)
+        cfg = ModelConfig(embedding=spec, activation=RELU, scaling=OURS, m=m, seed=1)
+        train, test = gen_wei(n, d, 1), gen_wei(n_test, d, 2)
+        tc = TrainConfig(steps=3, snapshot_steps=(0, 3))
+        run_training(cfg, tc, train.X, train.y, test_X=test.X, test_y=test.y)  # imports
+        trace, peak = traced_peak(run_training, cfg, tc, train.X, train.y,
+                                  test_X=test.X, test_y=test.y)
+        assert not trace.diverged
+        start = (m * D + n_test * D + m * n_test + n * n + n * n_test) * f8
+        assert peak <= start + (D * d + m) * f8 + 2 ** 16
+
     @pytest.mark.parametrize("scaling", [OURS, NTK, MF], ids=lambda s: s.name)
     def test_peak_memory_holds_one_W(self, scaling):
         # W is live only while the initial products and the final W are
@@ -538,12 +554,7 @@ class TestRunTraining:
         test_X, test_y = rng.standard_normal((20, 3)), rng.standard_normal(20)
         tc = TrainConfig(steps=3, delta=0.1, snapshot_steps=(0, 3))
         run_training(cfg, tc, X, y, test_X=test_X, test_y=test_y)   # imports, untraced
-        tracemalloc.start()
-        try:
-            trace = run_training(cfg, tc, X, y, test_X=test_X, test_y=test_y)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        trace, peak = traced_peak(run_training, cfg, tc, X, y, test_X=test_X, test_y=test_y)
         assert not trace.diverged
         assert peak <= 1.75 * m * D * 8
 
