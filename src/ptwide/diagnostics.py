@@ -90,7 +90,8 @@ def _report_from_gram(G: np.ndarray, kind: str, mc_samples: int = 0,
 def gram(spec: EmbeddingSpec, weights: EmbeddingWeights, X: np.ndarray) -> GramReport:
     """Empirical Gram matrix G_ab = (1/D) Phi(x_a)^T Phi(x_b) with extremes."""
     Phi = embed_batch(spec, weights, X)
-    G = Phi @ Phi.T / spec.D
+    G = Phi @ Phi.T
+    G /= spec.D
     return _report_from_gram(G, GRAM_KIND[spec.kind])
 
 

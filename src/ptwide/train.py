@@ -59,12 +59,14 @@ f_t does not depend on the helper or on the CPU or BLAS thread count.
 Memory is the live arrays of one of a run's three phases, and a run never
 holds two (m, D) arrays; the (m, D) W is live only in the first and last.
 - The start. W (drawn by ``init_params``, or the given ``init``) and the
-  embeddings Phi (n, D) and Phi_t (n_test, D) form Kmat and Ktest, which
-  need no W, then H_test0 = alpha W Phi_t^T. Phi is dropped before H_test0
-  exists, and embedded again for H once Phi_t is dropped (one more embed
-  of the training set, only with a test set). So the start holds W, Phi_t,
-  H_test0, Kmat and Ktest, the least that whole products allow, and this
-  trio binds at D = m with n_test > n (exp3's shape). W and Phi are
+  embeddings Phi (n, D) and Phi_t (n_test, D) form Ktest, then H_test0 =
+  alpha W Phi_t^T. Phi is dropped before H_test0 exists, with the
+  embedding weights if the run drew them (``build_embedding`` draws them
+  again, with the same bits, once Phi_t is dropped), and the training set
+  is embedded again for H (one more embed, only with a test set). Kmat is
+  formed from that Phi after H, and each kernel is scaled in place. So the
+  start holds W, Phi_t, H_test0 and Ktest, the least that whole products
+  allow, and binds at D = m with n_test > n (exp3's shape). W and Phi are
   dropped before the step and test-tile buffers exist.
 - The loop: O(m (n + n_test)) and no (m, D) array. No snapshot copies H at
   step 0, and the snapshot of the final step keeps H itself.
@@ -75,10 +77,12 @@ holds two (m, D) arrays; the (m, D) W is live only in the first and last.
   step-0 snapshot is built from it by the same ``model.preactivations`` as
   the initial H, and W then becomes the final W in place, W_BLOCK_BYTES of
   Pacc @ Phi at a time: t = Pacc @ Phi[:, a:b], t *= scale,
-  W[:, a:b] -= t.
+  W[:, a:b] -= t. At m = 1024 a block is 16 columns (128 KiB), so this
+  phase holds W, Phi, Pacc and the snapshots and little more.
 Under OpenBLAS these column blocks gave the bits of the whole product
-(checked at exp3's shape and at n > 256) while blocks of W @ Phi_t^T did
-not, so the initial products are formed whole.
+(checked at exp3's shape and at n > 256, for blocks of any multiple of 8
+columns) while blocks of W @ Phi_t^T did not, so the initial products are
+formed whole.
 """
 
 from __future__ import annotations
@@ -92,7 +96,7 @@ import numpy as np
 
 from .datasets import mse
 from .diagnostics import active_fraction, shrink_interval
-from .embedding import embed_batch
+from .embedding import build_embedding, embed_batch
 from .errors import InvalidConfigError
 from .helper import Helper
 from .model import ModelConfig, Parameters, init_params, init_weights, preactivations
@@ -110,7 +114,7 @@ TEST_TILE = 64
 R_ROWS = 16
 # Bytes of each column block of Pacc @ Phi subtracted from W for the final W;
 # the block width is a multiple of 8 columns, and at least 8.
-W_BLOCK_BYTES = 2 ** 19
+W_BLOCK_BYTES = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -190,20 +194,25 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
     beta, alpha, lam = config.factors
     delta = train_config.delta
 
-    Phi = embed_batch(config.embedding, ew, X)                            # (n, D)
     # Kernel of the H-space recursion: H <- H - P (lam d beta a^2 Phi Phi^T)
     k_scale = lam * delta * beta * alpha * alpha
-    Kmat = k_scale * (Phi @ Phi.T)
-
+    Phi = embed_batch(config.embedding, ew, X)                            # (n, D)
     if has_test:
         Phi_t = embed_batch(config.embedding, ew, test_X)
-        Ktest = k_scale * (Phi @ Phi_t.T)
-        Phi = None      # embedded again for H, so that it is not live with H_test0
+        Ktest = Phi @ Phi_t.T
+        Ktest *= k_scale
+        # Phi, and the embedding weights if this run drew them, are made
+        # again for H (the same bits), so that neither is live with H_test0
+        Phi = ew = None
         H_test0 = preactivations(config, W, Phi_t)
         del Phi_t
+        ew = build_embedding(config.embedding) if init is None else init.embedding_weights
         Phi = embed_batch(config.embedding, ew, X)
     H = preactivations(config, W, Phi)                                    # (m, n)
-    W = Phi = None     # both are built again for the final W
+    W = None           # drawn again, or copied from init, for the final W
+    Kmat = Phi @ Phi.T
+    Kmat *= k_scale
+    Phi = None         # embedded again for the final W
 
     test_blocks = []
     if has_test:

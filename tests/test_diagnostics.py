@@ -57,6 +57,18 @@ class TestGram:
         rep = gram(spec, build_embedding(spec), X)
         assert rep.lambda_min >= -1e-9
 
+    def test_product_is_scaled_in_place(self, monkeypatch):
+        # G = Phi Phi^T / D is divided in place, with the bits of the
+        # division into a copy, so the peak does not rest on numpy eliding
+        # the product's temporary: until the report is formed (stubbed here,
+        # so that its own temporaries do not hide it) it is one n x n G
+        n, d = 1000, 20
+        X = np.random.default_rng(7).standard_normal((n, d))
+        monkeypatch.setattr(diagnostics_module, "_report_from_gram", lambda G, kind: G)
+        G, peak = traced_peak(gram, _identity_spec(d), EmbeddingWeights(), X)
+        assert G.tobytes() == (X @ X.T / d).tobytes()
+        assert peak <= n * n * 8 + 2 ** 16
+
     def test_json_round_trip_fields(self):
         import json
         X = np.eye(2) * math.sqrt(2)

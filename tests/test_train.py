@@ -372,8 +372,8 @@ class TestRunTraining:
                              ids=["random_feature", "identity", "one-block"])
     def test_peak_memory_is_the_live_arrays(self, kind, D, m, n):
         # a run has three phases, and the peak is the largest, not their sum.
-        # The start holds W, Phi_t, H_test0, Kmat and Ktest; W is the given
-        # init here, made before tracing, so the start stays below the loop
+        # The start holds W, Phi_t, H_test0 and Ktest; W is the given init
+        # here, made before tracing, so the start stays below the loop
         # (test_start_holds_no_training_embedding checks it where it binds).
         # The loop has four m x n step buffers, the (m, n) copy of c, H_test0
         # and one (m, TEST_TILE) buffer per test column half of three full
@@ -506,6 +506,33 @@ class TestRunTraining:
         assert not np.array_equal(given.final_params.W, W0)
         self._assert_same_arrays(given, drawn)
 
+    @pytest.mark.parametrize("with_test", [True, False], ids=["test-set", "no-test-set"])
+    @pytest.mark.parametrize("kind, depth", [("random_feature", 0), ("deep_random", 4)],
+                             ids=["random_feature", "deep_random"])
+    def test_drawn_embedding_weights_are_the_given_ones(self, kind, depth, with_test):
+        # with a test set, a run that drew its parameters drops the embedding
+        # weights before H_test0 and draws them again (the D x D layer of
+        # deep_random too); they, and the run, have the bits of a run given
+        # init_params' weights, which it keeps
+        m = D = 64
+        spec = EmbeddingSpec(kind=kind, d=3, D=D, depth=depth, activation=TANH, seed=3)
+        cfg = ModelConfig(embedding=spec, activation=TANH, scaling=OURS, m=m, seed=4)
+        rng = np.random.default_rng(28)
+        X, y = rng.standard_normal((12, 3)), rng.standard_normal(12)
+        test = ({"test_X": rng.standard_normal((30, 3)), "test_y": rng.standard_normal(30)}
+                if with_test else {})
+        tc = TrainConfig(steps=6, delta=0.1, record_every=2, snapshot_steps=(0, 3, 6))
+        init = init_params(cfg)
+        given = run_training(cfg, tc, X, y, init=init, **test)
+        drawn = run_training(cfg, tc, X, y, **test)
+        assert given.final_params.embedding_weights is init.embedding_weights
+        assert len(given.test_errors) == (4 if with_test else 0)
+        self._assert_same_arrays(given, drawn)
+        ew, ew_drawn = init.embedding_weights, drawn.final_params.embedding_weights
+        assert len(ew_drawn.deep_layers) == len(ew.deep_layers) == (kind == "deep_random")
+        for a, b in zip((ew.z, *ew.deep_layers), (ew_drawn.z, *ew_drawn.deep_layers)):
+            assert a.tobytes() == b.tobytes()
+
     @pytest.mark.parametrize("d, m, n, D", [(50, 1024, 200, 1024), (3, 512, 300, 600)],
                              ids=["exp3", "n-above-256"])
     def test_column_blocked_final_W_is_the_whole_product(self, d, m, n, D):
@@ -525,9 +552,10 @@ class TestRunTraining:
 
     def test_start_holds_no_training_embedding(self):
         # at exp3's shape (D = m, n_test > n) the start binds: W, Phi_t and
-        # H_test0 = alpha W Phi_t^T must be live together, with Kmat and Ktest,
-        # but the (n, D) Phi of the training set is embedded again for H, not
-        # kept beside them. The rest is the embedding weights and c.
+        # H_test0 = alpha W Phi_t^T must be live together, with Ktest, but
+        # the (n, D) Phi of the training set and the drawn embedding weights
+        # are made again for H, and Kmat is formed after H_test0, so none of
+        # them is kept beside them. The rest is c.
         m = D = 1024
         n, n_test, d, f8 = 200, 500, 50, 8
         spec = EmbeddingSpec(kind="random_feature", d=d, D=D, activation=RELU, seed=1)
@@ -538,8 +566,8 @@ class TestRunTraining:
         trace, peak = traced_peak(run_training, cfg, tc, train.X, train.y,
                                   test_X=test.X, test_y=test.y)
         assert not trace.diverged
-        start = (m * D + n_test * D + m * n_test + n * n + n * n_test) * f8
-        assert peak <= start + (D * d + m) * f8 + 2 ** 16
+        start = (m * D + n_test * D + m * n_test + n * n_test) * f8
+        assert peak <= start + m * f8 + 2 ** 14
 
     @pytest.mark.parametrize("scaling", [OURS, NTK, MF], ids=lambda s: s.name)
     def test_peak_memory_holds_one_W(self, scaling):
