@@ -25,7 +25,7 @@ ABS_SLACK = 1e-8
 REL_SLACK = 1e-6
 
 # Bytes that gram_limit_mc's two (rows, d) draw buffers and its (rows, n)
-# activation buffer share when no chunk is given, so that its memory is set
+# activation buffer share, so that its memory is set
 # by the shapes and not by a row count. The draws on the calling thread bound
 # the loop at any chunk size, so a chunk need only outlast one hand-off to
 # the helper; at 2 MiB the activation buffer also stays in a 2 MiB L2 cache
@@ -79,7 +79,9 @@ class TheoryConstants:
 
 def _report_from_gram(G: np.ndarray, kind: str, mc_samples: int = 0,
                       stderr: np.ndarray | None = None) -> GramReport:
-    G = 0.5 * (G + G.T)  # enforce exact symmetry before the eigensolver
+    # enforce exact symmetry before the eigensolver, in place (same bits)
+    G += G.T
+    G *= 0.5
     lo, hi = sym_eig_extremes(G)
     diag = np.diag(G)
     return GramReport(G=G, lambda_min=lo, lambda_max=hi,
@@ -111,7 +113,7 @@ def check_concentration(D_list: list[int], trials: int) -> None:
 
 
 def gram_limit_mc(activation: ActivationSpec, X: np.ndarray, samples: int,
-                  seed: int, chunk: int | None = None) -> GramReport:
+                  seed: int) -> GramReport:
     """Monte-Carlo estimate of the infinite-width Gram limit.
 
     Averages sigma(z.x_a/sqrt(d)) sigma(z.x_b/sqrt(d)) over i.i.d. standard
@@ -120,8 +122,8 @@ def gram_limit_mc(activation: ActivationSpec, X: np.ndarray, samples: int,
     A standard-error matrix is attached to the report.
 
     The draws go into two (chunk, d) buffers in turn and A into one (chunk,
-    n) buffer. Without a ``chunk``, the rows are chosen so that these three
-    share MC_CHUNK_BYTES (2 MiB: 4 369 rows at n = d = 20, 873 at n = 200,
+    n) buffer. The chunk's rows are chosen so that these three share
+    MC_CHUNK_BYTES (2 MiB: 4 369 rows at n = d = 20, 873 at n = 200,
     d = 50), with a floor of MC_MIN_ROWS rows; memory is then that budget
     plus O(n^2) for any sample count. The draws are the same stream in the
     same order whatever the chunk; only the grouping of the sums, and so
@@ -140,8 +142,7 @@ def gram_limit_mc(activation: ActivationSpec, X: np.ndarray, samples: int,
     gen = RngStream(seed, "gram-mc").generator()
     s1 = np.zeros((n, n))
     s2 = np.zeros((n, n))
-    if chunk is None:
-        chunk = max(MC_MIN_ROWS, MC_CHUNK_BYTES // (8 * (2 * d + n)))
+    chunk = max(MC_MIN_ROWS, MC_CHUNK_BYTES // (8 * (2 * d + n)))
     rows = min(chunk, samples)
     draws = (np.empty((rows, d)), np.empty((rows, d)))
     projected = np.empty((rows, n))

@@ -55,7 +55,7 @@ class Helper:
     """``with Helper(wanted) as helper:`` gives a helper thread when
     ``wanted`` and the machine allows it, and runs jobs inline otherwise."""
 
-    def __init__(self, wanted: bool = True):
+    def __init__(self, wanted: bool):
         self._thread = None
         self._pending = False
         if not (wanted and _cpus() >= 2

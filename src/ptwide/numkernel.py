@@ -79,8 +79,10 @@ def sym_eig_extremes(a: np.ndarray) -> tuple[float, float]:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise StructuralError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.abs(a - a.T) <= SYMMETRY_TOL):
+    gap = np.subtract(a, a.T)      # |a - a^T| in one buffer; a NaN max fails
+    if not np.abs(gap, out=gap).max() <= SYMMETRY_TOL:
         raise StructuralError("matrix is not symmetric to within 1e-12")
+    del gap                        # before eigvalsh copies a
     try:
         vals = np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure

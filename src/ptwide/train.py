@@ -58,27 +58,26 @@ f_t does not depend on the helper or on the CPU or BLAS thread count.
 
 Memory is the live arrays of one of a run's three phases, and a run never
 holds two (m, D) arrays; the (m, D) W is live only in the first and last.
-- The start. W (drawn by ``init_params``, or the given ``init``) and the
-  embeddings Phi (n, D) and Phi_t (n_test, D) form Ktest, then H_test0 =
-  alpha W Phi_t^T. Phi is dropped before H_test0 exists, with the
-  embedding weights if the run drew them (``build_embedding`` draws them
-  again, with the same bits, once Phi_t is dropped), and the training set
-  is embedded again for H (one more embed, only with a test set). Kmat is
-  formed from that Phi after H, and each kernel is scaled in place. So the
-  start holds W, Phi_t, H_test0 and Ktest, the least that whole products
-  allow, and binds at D = m with n_test > n (exp3's shape). W and Phi are
-  dropped before the step and test-tile buffers exist.
+- The start. W (drawn by ``init_params``) and the embeddings Phi (n, D)
+  and Phi_t (n_test, D) form Ktest, then H_test0 = alpha W Phi_t^T. Phi and
+  the embedding weights are dropped before H_test0 exists (once Phi_t is
+  dropped, ``build_embedding`` draws the weights again, with the same bits),
+  and the training set is embedded again for H (one more embed, only with a
+  test set). Kmat is formed from that Phi after H, and each kernel is
+  scaled in place. So the start holds W, Phi_t, H_test0 and Ktest, the
+  least that whole products allow, and binds at D = m with n_test > n
+  (exp3's shape). W and Phi are dropped before the step and test-tile
+  buffers exist.
 - The loop: O(m (n + n_test)) and no (m, D) array. No snapshot copies H at
   step 0, and the snapshot of the final step keeps H itself.
 - The final W. The step and test-set buffers and Kmat are released, Phi is
   embedded again and W drawn a second time from the same stream by
   ``model.init_weights``, the W-only draw that ``init_params`` makes, so it
-  has the same bits (a given init's W is copied, never written). The
-  step-0 snapshot is built from it by the same ``model.preactivations`` as
-  the initial H, and W then becomes the final W in place, W_BLOCK_BYTES of
-  Pacc @ Phi at a time: t = Pacc @ Phi[:, a:b], t *= scale,
-  W[:, a:b] -= t. At m = 1024 a block is 16 columns (128 KiB), so this
-  phase holds W, Phi, Pacc and the snapshots and little more.
+  has the same bits. The step-0 snapshot is built from it by the same
+  ``model.preactivations`` as the initial H, and W then becomes the final W
+  in place, W_BLOCK_BYTES of Pacc @ Phi at a time: t = Pacc @ Phi[:, a:b],
+  t *= scale, W[:, a:b] -= t. At m = 1024 a block is 16 columns (128 KiB),
+  so this phase holds W, Phi, Pacc and the snapshots and little more.
 Under OpenBLAS these column blocks gave the bits of the whole product
 (checked at exp3's shape and at n > 256, for blocks of any multiple of 8
 columns) while blocks of W @ Phi_t^T did not, so the initial products are
@@ -156,12 +155,11 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
                  X: np.ndarray, y: np.ndarray,
                  test_X: np.ndarray | None = None,
                  test_y: np.ndarray | None = None,
-                 test_metric: Callable[[np.ndarray, np.ndarray], float] | None = None,
-                 init: Parameters | None = None) -> TrainingTrace:
-    """Train by full-batch GD and record losses, active fractions, snapshots.
+                 test_metric: Callable[[np.ndarray, np.ndarray], float] | None = None
+                 ) -> TrainingTrace:
+    """Train by full-batch GD from ``init_params(config)`` and record losses,
+    active fractions and snapshots.
 
-    Without ``init`` the parameters are ``init_params(config)``; a given
-    ``init`` must have an (m, D) W and an (m,) c, and its W is not written.
     Divergence (loss above 1e12 or non-finite values) aborts with a partial
     trace flagged ``diverged``. Per-step loss increases are recorded in
     ``monotone_violations`` but are not fatal.
@@ -173,9 +171,6 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
         raise InvalidConfigError(f"the training set has {n} points; it needs at least 1")
     if y.shape != (n,):
         raise InvalidConfigError(f"y has shape {y.shape}, expected ({n},)")
-    if init is not None and (init.W.shape, init.c.shape) != ((m, D), (m,)):
-        raise InvalidConfigError(f"init has W of shape {init.W.shape} and c of shape "
-                                 f"{init.c.shape}, expected ({m}, {D}) and ({m},)")
     has_test = test_X is not None
     if has_test:
         if test_y is None:
@@ -186,7 +181,7 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
         if test_y.shape != (len(test_X),):
             raise InvalidConfigError(f"test_y has shape {test_y.shape}, "
                                      f"expected ({len(test_X)},)")
-    params = init if init is not None else init_params(config)
+    params = init_params(config)
     W, c, ew = params.W, params.c, params.embedding_weights
     del params
 
@@ -201,15 +196,15 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
         Phi_t = embed_batch(config.embedding, ew, test_X)
         Ktest = Phi @ Phi_t.T
         Ktest *= k_scale
-        # Phi, and the embedding weights if this run drew them, are made
-        # again for H (the same bits), so that neither is live with H_test0
+        # Phi and the embedding weights are made again for H (the same
+        # bits), so that neither is live with H_test0
         Phi = ew = None
         H_test0 = preactivations(config, W, Phi_t)
         del Phi_t
-        ew = build_embedding(config.embedding) if init is None else init.embedding_weights
+        ew = build_embedding(config.embedding)
         Phi = embed_batch(config.embedding, ew, X)
     H = preactivations(config, W, Phi)                                    # (m, n)
-    W = None           # drawn again, or copied from init, for the final W
+    W = None           # drawn again for the final W
     Kmat = Phi @ Phi.T
     Kmat *= k_scale
     Phi = None         # embedded again for the final W
@@ -322,7 +317,7 @@ def run_training(config: ModelConfig, train_config: TrainConfig,
     # a time, so there is no (m, D) temporary.
     H = sig = P = c_rows = blocks = test_blocks = H_test0 = Kmat = Ktest = None
     Phi = embed_batch(config.embedding, ew, X)
-    W = init_weights(config) if init is None else np.array(init.W, dtype=np.float64)
+    W = init_weights(config)
     if 0 in trace.snapshots:
         trace.snapshots[0] = (preactivations(config, W, Phi), trace.snapshots[0][1])
     scale = lam * delta * beta * alpha

@@ -148,6 +148,7 @@ def test_claim_configs_are_valid_grids():
         _claim(path.stem)
 
 
+@pytest.mark.slow
 def test_criterion_3_linear_rate_convergence(claims):
     # crit3 is Theorem 1's d >= n (identity, n = d); crit3_rf is Theorem 2's
     # n > d through random features. The identity embedding at n > d is not
@@ -165,6 +166,7 @@ def test_criterion_3_linear_rate_convergence(claims):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_4_active_fraction_lower_bound(claims):
     results, elapsed = claims("crit4")
     # lemma1 is None, and lemma1_pass "na", where the Gram is degenerate
@@ -176,6 +178,7 @@ def test_criterion_4_active_fraction_lower_bound(claims):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_5_feature_movement_bound(claims):
     checked = 0
     ok = True
@@ -206,6 +209,7 @@ def test_criterion_5_feature_movement_bound(claims):
     assert ok and checked > 0
 
 
+@pytest.mark.slow
 def test_criterion_6_lazy_vs_rich_scaling(claims):
     (small, t_small), (large, t_large) = claims("crit6_m256"), claims("crit6_m2048")
     movements = {}   # (scaling, m) -> list over seeds
@@ -257,6 +261,7 @@ def test_criterion_8_mc_matches_closed_form(mc_reference):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_9_scaling_test_error_ordering(claims):
     results, elapsed = claims("crit9")
     errors = {s: float(np.mean([r.row["test_error"] for r in results if r.row["scaling"] == s]))

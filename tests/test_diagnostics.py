@@ -12,14 +12,14 @@ import ptwide.helper as helper_module
 from ptwide.activations import LINEAR, RELU, TANH, leaky_relu
 from ptwide.datasets import gen_random_label
 from ptwide.diagnostics import (ABS_SLACK, ACTIVE_CHUNK_BYTES, MC_CHUNK_BYTES, PL_CHUNK_BYTES,
-                                REL_SLACK, active_fraction, concentration_probe, gram, gram_limit_mc,
-                                lemma1_monitor, pl_monitor, shrink_interval,
+                                REL_SLACK, TheoryConstants, active_fraction, concentration_probe,
+                                gram, gram_limit_mc, lemma1_monitor, pl_monitor, shrink_interval,
                                 theory_constants)
 from ptwide.embedding import EmbeddingSpec, EmbeddingWeights, build_embedding
 from ptwide.errors import InvalidConfigError, StructuralError
 from ptwide.model import MF, NTK, OURS, ModelConfig, ScalingVariant, forward, init_params
 from ptwide.numkernel import RngStream
-from ptwide.train import TrainConfig, run_training
+from ptwide.train import TrainConfig, TrainingTrace, run_training
 from oracle import (_identity_spec, feature_movement, gd_step, grad_W, loss,
                     relu_closed_form_kernel)
 from oracle import active_fraction as oracle_active_fraction
@@ -69,6 +69,17 @@ class TestGram:
         assert G.tobytes() == (X @ X.T / d).tobytes()
         assert peak <= n * n * 8 + 2 ** 16
 
+    def test_report_holds_two_grams(self):
+        # G is symmetrized in place (G += G^T needs one copy of G^T) and the
+        # symmetry check holds |G - G^T| in one buffer, so the whole call
+        # holds at most two n x n arrays
+        n, d = 1000, 20
+        X = np.random.default_rng(7).standard_normal((n, d))
+        rep, peak = traced_peak(gram, _identity_spec(d), EmbeddingWeights(), X)
+        G = X @ X.T / d
+        assert rep.G.tobytes() == (0.5 * (G + G.T)).tobytes()
+        assert peak <= 2 * n * n * 8 + 2 ** 20
+
     def test_json_round_trip_fields(self):
         import json
         X = np.eye(2) * math.sqrt(2)
@@ -76,6 +87,16 @@ class TestGram:
         payload = json.loads(rep.to_json(dataset="unit"))
         assert payload["kind"] == "g0" and payload["dataset"] == "unit"
         assert payload["n"] == 2
+
+
+@pytest.fixture
+def mc_chunk(monkeypatch):
+    """A setter of gram_limit_mc's chunk: with no byte budget its chunk is
+    MC_MIN_ROWS rows, so the floor set to a row count makes that the chunk."""
+    def set_rows(rows):
+        monkeypatch.setattr(diagnostics_module, "MC_CHUNK_BYTES", 0)
+        monkeypatch.setattr(diagnostics_module, "MC_MIN_ROWS", rows)
+    return set_rows
 
 
 class TestGramLimitMc:
@@ -116,10 +137,11 @@ class TestGramLimitMc:
                 se = max(rep.stderr[a, b], 1e-12)
                 assert abs(rep.G[a, b] - target) <= 4.0 * se
 
-    def test_chunked_mean_is_plain_average(self):
+    def test_chunked_mean_is_plain_average(self, mc_chunk):
         # estimate equals the average over the same draws computed by hand
         X = np.random.default_rng(8).standard_normal((3, 4))
-        rep = gram_limit_mc(RELU, X, 2000, seed=9, chunk=500)
+        mc_chunk(500)
+        rep = gram_limit_mc(RELU, X, 2000, seed=9)
         gen = RngStream(9, "gram-mc").generator()
         s1 = np.zeros((3, 3))
         s2 = np.zeros((3, 3))
@@ -134,23 +156,26 @@ class TestGramLimitMc:
         stderr = np.sqrt(np.maximum(s2 / 2000 - mean * mean, 0.0) / 2000)
         np.testing.assert_allclose(rep.stderr, stderr, atol=1e-12)
 
-    def test_chunking_does_not_change_the_estimate(self):
+    def test_chunking_does_not_change_the_estimate(self, mc_chunk):
         X = np.random.default_rng(11).standard_normal((5, 4))
-        a = gram_limit_mc(TANH, X, 2000, seed=3, chunk=500)
-        b = gram_limit_mc(TANH, X, 2000, seed=3, chunk=2000)
+        mc_chunk(500)
+        a = gram_limit_mc(TANH, X, 2000, seed=3)
+        mc_chunk(2000)
+        b = gram_limit_mc(TANH, X, 2000, seed=3)
         np.testing.assert_allclose(a.G, b.G, atol=1e-12)
         np.testing.assert_allclose(a.stderr, b.stderr, atol=1e-12)
 
-    def test_peak_memory_has_no_per_sample_gram_tensor(self):
+    def test_peak_memory_has_no_per_sample_gram_tensor(self, mc_chunk):
         # a (chunk, n, n) product tensor alone would be 40 MB here
         n, chunk = 50, 2000
         X = np.random.default_rng(12).standard_normal((n, 10))
-        _, peak = traced_peak(gram_limit_mc, RELU, X, 4000, seed=1, chunk=chunk)
+        mc_chunk(chunk)
+        _, peak = traced_peak(gram_limit_mc, RELU, X, 4000, seed=1)
         assert peak < 16 * chunk * n * 8
 
     @pytest.mark.parametrize("n, d", [(20, 20), (200, 50)])
     def test_default_chunk_fits_the_byte_budget(self, n, d):
-        # without a chunk, the draw and activation buffers share the budget at
+        # the draw and activation buffers share the budget at
         # any shape; the rest is O(n^2), and a longer run needs no more
         X = np.random.default_rng(17).standard_normal((n, d))
         peaks = [traced_peak(gram_limit_mc, TANH, X, samples, seed=1)[1]
@@ -158,12 +183,13 @@ class TestGramLimitMc:
         assert max(peaks) <= MC_CHUNK_BYTES + 10 * n * n * 8 + 2 ** 16
         assert abs(peaks[0] - peaks[1]) <= 2 ** 16
 
-    def test_default_chunk_matches_the_old_default_at_the_bench_shape(self):
+    def test_default_chunk_matches_the_old_default_at_the_bench_shape(self, mc_chunk):
         # gram_mc's shape and seed: the chunk budget regroups the sums only,
         # far inside the 1e-7 at which the benchmark checks its reference
         X = gen_random_label(20, 20, 1).X
         new = gram_limit_mc(RELU, X, 200_000, seed=1)
-        old = gram_limit_mc(RELU, X, 200_000, seed=1, chunk=34_952)
+        mc_chunk(34_952)
+        old = gram_limit_mc(RELU, X, 200_000, seed=1)
         np.testing.assert_allclose(new.G, old.G, rtol=1e-12, atol=0)
         np.testing.assert_allclose(new.stderr, old.stderr, rtol=1e-12, atol=0)
 
@@ -176,7 +202,7 @@ class TestGramLimitMc:
                              ids=lambda a: a.name)
     @pytest.mark.parametrize("samples, chunk", [(2300, 1000), (1500, 2000)],
                              ids=["ragged-chunks", "one-chunk"])
-    def test_same_bits_with_and_without_helper(self, monkeypatch, activation,
+    def test_same_bits_with_and_without_helper(self, monkeypatch, mc_chunk, activation,
                                                samples, chunk):
         # the helper accumulates chunk i while the caller draws chunk i + 1;
         # the sums are the same, in the same order, as on one thread. A
@@ -189,40 +215,43 @@ class TestGramLimitMc:
             return activation.fn(u, out=out)
 
         spied = dataclasses.replace(activation, fn=spy)
+        mc_chunk(chunk)
         self._patch_machine(monkeypatch, {0, 1}, 1)
-        piped = gram_limit_mc(spied, X, samples, seed=4, chunk=chunk)
+        piped = gram_limit_mc(spied, X, samples, seed=4)
         if samples > chunk:
             assert len(threads) == 1 and threading.get_ident() not in threads
         else:
             assert threads == {threading.get_ident()}
         threads.clear()
         self._patch_machine(monkeypatch, {0}, 2)
-        alone = gram_limit_mc(spied, X, samples, seed=4, chunk=chunk)
+        alone = gram_limit_mc(spied, X, samples, seed=4)
         assert threads == {threading.get_ident()}
         np.testing.assert_array_equal(piped.G, alone.G)
         np.testing.assert_array_equal(piped.stderr, alone.stderr)
 
-    def test_many_chunks_under_fast_thread_switching(self, monkeypatch):
+    def test_many_chunks_under_fast_thread_switching(self, monkeypatch, mc_chunk):
         # a draw that overwrote a buffer the helper still reads, or a chunk
         # left out of the sums, would change the bits
         X = np.random.default_rng(15).standard_normal((8, 5))
+        mc_chunk(1000)
         self._patch_machine(monkeypatch, {0}, 1)
-        alone = gram_limit_mc(TANH, X, 150_500, seed=6, chunk=1000)
+        alone = gram_limit_mc(TANH, X, 150_500, seed=6)
         self._patch_machine(monkeypatch, {0, 1}, 1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            piped = gram_limit_mc(TANH, X, 150_500, seed=6, chunk=1000)
+            piped = gram_limit_mc(TANH, X, 150_500, seed=6)
         finally:
             sys.setswitchinterval(interval)
         np.testing.assert_array_equal(piped.G, alone.G)
         np.testing.assert_array_equal(piped.stderr, alone.stderr)
 
-    def test_helper_does_not_outlive_the_call(self, monkeypatch):
+    def test_helper_does_not_outlive_the_call(self, monkeypatch, mc_chunk):
+        mc_chunk(1000)
         self._patch_machine(monkeypatch, {0, 1}, 1)
         before = threading.active_count()
         X = np.random.default_rng(14).standard_normal((3, 4))
-        gram_limit_mc(TANH, X, 3000, seed=1, chunk=1000)
+        gram_limit_mc(TANH, X, 3000, seed=1)
         assert threading.active_count() == before
 
         def fails_off_the_caller(u, out=None):
@@ -232,17 +261,18 @@ class TestGramLimitMc:
 
         failing = dataclasses.replace(TANH, fn=fails_off_the_caller)
         with pytest.raises(FloatingPointError, match="helper chunk failed"):
-            gram_limit_mc(failing, X, 3000, seed=1, chunk=1000)
+            gram_limit_mc(failing, X, 3000, seed=1)
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("cpu_count, threaded", [(2, True), (None, False)],
                              ids=["two-cpus", "unknown-cpus"])
-    def test_same_bits_without_sched_getaffinity(self, monkeypatch, cpu_count,
+    def test_same_bits_without_sched_getaffinity(self, monkeypatch, mc_chunk, cpu_count,
                                                  threaded):
         # os.sched_getaffinity is Linux-only; elsewhere os.cpu_count decides
         X = np.random.default_rng(16).standard_normal((6, 4))
+        mc_chunk(1000)
         self._patch_machine(monkeypatch, {0}, 1)
-        alone = gram_limit_mc(TANH, X, 2300, seed=4, chunk=1000)
+        alone = gram_limit_mc(TANH, X, 2300, seed=4)
         threads = set()
 
         def spy(u, out=None):
@@ -251,8 +281,7 @@ class TestGramLimitMc:
 
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
-        rep = gram_limit_mc(dataclasses.replace(TANH, fn=spy), X, 2300, seed=4,
-                            chunk=1000)
+        rep = gram_limit_mc(dataclasses.replace(TANH, fn=spy), X, 2300, seed=4)
         assert (threading.get_ident() not in threads) == threaded
         np.testing.assert_array_equal(rep.G, alone.G)
         np.testing.assert_array_equal(rep.stderr, alone.stderr)
@@ -444,6 +473,28 @@ class TestLemma1MonitorCanFail:
         trace, tc = crit4_trace
         result = lemma1_monitor(dataclasses.replace(trace, eta_tilde0=1.0), tc, 1.0)
         assert not result.passed and result.worst_margin < -0.5
+
+    # Two hand-made traces for the exponent 3/2: eta~0 = 0.9^2, so its
+    # power is 0.729, and kappa (sqrt(L0) - sqrt(Lt)) / c_hat = 0.4 at step
+    # 10; eta at step 0 is 1, whose powers are all 1. Step 10's eta of 0.7^2
+    # passes by 0.7^3 - 0.329 = 0.014, and exponent 1 on eta~0 or 2 on eta
+    # (or on both) fails it; 0.66^2 fails by 0.66^3 - 0.329, and exponent 1
+    # on eta (or on both) or 2 on eta~0 passes it
+    @staticmethod
+    def _hand_trace(eta):
+        trace = TrainingTrace(steps=[0, 10], losses=[1.0, 0.36], eta_min=[1.0, eta],
+                              eta_tilde0=0.81)
+        return lemma1_monitor(trace, TheoryConstants(kappa=1.0, k_const=math.nan,
+                                                     rate_exponent=math.nan), 1.0)
+
+    def test_hand_trace_passes(self):
+        result = self._hand_trace(0.49)
+        assert result.passed and result.margins[1] == pytest.approx(0.014, abs=1e-12)
+
+    def test_hand_trace_fails(self):
+        result = self._hand_trace(0.4356)
+        assert not result.passed
+        assert result.margins[1] == pytest.approx(0.66 ** 3 - 0.329, abs=1e-12)
 
 
 class TestPlMonitor:

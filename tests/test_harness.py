@@ -22,8 +22,7 @@ from ptwide.harness import (PRESETS, SUMMARY_COLUMNS, ConcentrationConfig, Datas
                             ExperimentConfig, GramConfig, cells, parse,
                             parse_experiment_config, rate_fit, run_experiment, run_single)
 from ptwide.datasets import test_error as eval_error
-from ptwide.model import MF, NTK, OURS, ModelConfig, Parameters
-from ptwide.embedding import EmbeddingWeights
+from ptwide.model import MF, NTK, OURS, ModelConfig
 from ptwide.numkernel import fmt
 from ptwide.train import TrainConfig, run_training
 from conftest import traced_peak
@@ -61,18 +60,17 @@ class TestRateFit:
             rate_fit([0, 1], [1e-12, 1e-13])
 
     def test_scalar_model_slope(self):
-        # one linear neuron on one point: residual contracts by a fixed
-        # factor, so the fitted slope is exactly its squared log
+        # one linear neuron on one point: the residual contracts by the
+        # fixed factor 1 - delta c^2 x^2 whatever the drawn w, so the fitted
+        # slope is exactly its squared log
         x, delta = 0.7, 0.4
         cfg = ModelConfig(embedding=EmbeddingSpec(kind="identity", d=1, D=1),
-                          activation=LINEAR, scaling=OURS, m=1)
-        params = Parameters(W=np.array([[0.3]]), c=np.array([1.0]),
-                            embedding_weights=EmbeddingWeights())
+                          activation=LINEAR, scaling=OURS, m=1, c_hat=1.5)
         trace = run_training(cfg, TrainConfig(steps=40, delta=delta,
                                               record_eta=False),
-                             np.array([[x]]), np.array([1.0]), init=params)
+                             np.array([[x]]), np.array([1.0]))
         slope, r2 = rate_fit(trace.steps, trace.losses)
-        expected = 2.0 * math.log(abs(1.0 - delta * x * x))
+        expected = 2.0 * math.log(abs(1.0 - delta * cfg.c_hat ** 2 * x * x))
         assert abs(slope - expected) < 1e-6
         assert r2 > 1.0 - 1e-9
 
@@ -426,6 +424,24 @@ def test_readme_scaling_table_and_activations_are_the_code():
     assert "leaky_relu(slope)" in names
     for name in names:
         get_activation(name.replace("slope", "0.5"))     # raises on a name it cannot parse
+
+
+def test_readme_library_examples_run(tmp_path, monkeypatch, capsys):
+    # The ```python blocks under README's "Library use" run as written, one
+    # after another in one namespace (the second uses the first's import),
+    # from an empty working directory, so an example that calls an option
+    # the library no longer has fails here.
+    section = README.read_text().split("\n## Library use\n")[1].split("\n## ")[0]
+    blocks = re.findall(r"^```python\n(.*?)^```$", section, re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 2
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    printed = capsys.readouterr().out.splitlines()
+    with open(tmp_path / "runs" / "summary.csv", newline="") as fh:
+        cells = list(csv.DictReader(fh))
+    assert len(printed) == 2 + len(cells) and len(cells) == 2     # exp1 runs ours
 
 
 class TestCli:

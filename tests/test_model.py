@@ -6,6 +6,7 @@ from ptwide.errors import InvalidConfigError
 from ptwide.model import (MF, NTK, OURS, ModelConfig, Parameters, ScalingVariant, forward,
                           get_scaling, init_params, init_weights)
 from ptwide.numkernel import RngStream, gaussian_matrix
+import ptwide.train
 from ptwide.train import TrainConfig, run_training
 from oracle import _identity_spec, _manual_params
 
@@ -162,9 +163,10 @@ class TestForward:
 
 
 class TestSignFlipSymmetry:
-    def test_negating_c_and_y_negates_trajectory(self):
+    def test_negating_c_and_y_negates_trajectory(self, monkeypatch):
         # tanh is odd, so flipping all output signs and the targets gives the
-        # mirrored run: identical losses, negated outputs, for every GD step
+        # mirrored run: identical losses, negated outputs, for every GD step.
+        # The flipped run draws its parameters through train's init_params
         cfg = ModelConfig(embedding=_identity_spec(3), activation=TANH,
                           scaling=OURS, m=8, seed=7)
         params = init_params(cfg)
@@ -173,8 +175,10 @@ class TestSignFlipSymmetry:
         rng = np.random.default_rng(6)
         X, y = rng.standard_normal((4, 3)), rng.standard_normal(4)
         tc = TrainConfig(steps=10, delta=0.5, record_eta=False)
-        t1 = run_training(cfg, tc, X, y, init=params)
-        t2 = run_training(cfg, tc, X, -y, init=flipped)
+        t1 = run_training(cfg, tc, X, y)
+        monkeypatch.setattr(ptwide.train, "init_params", lambda config: flipped)
+        t2 = run_training(cfg, tc, X, -y)
+        np.testing.assert_array_equal(t2.final_params.c, -params.c)
         np.testing.assert_allclose(t1.losses, t2.losses, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(t1.final_params.W, t2.final_params.W,
                                    rtol=1e-12, atol=1e-15)

@@ -139,6 +139,13 @@ class TestSymEig:
         with pytest.raises(StructuralError):
             sym_eig_extremes(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("gap", [2e-12, float("nan")], ids=["just-over", "nan"])
+    def test_symmetry_tolerance(self, gap):
+        # a gap within 1e-12 passes; a larger one, or a NaN entry, does not
+        sym_eig_extremes(np.array([[1.0, 0.5e-12], [0.0, 1.0]]))
+        with pytest.raises(StructuralError):
+            sym_eig_extremes(np.array([[1.0, gap], [0.0, 1.0]]))
+
     def test_non_square_rejected(self):
         with pytest.raises(StructuralError):
             sym_eig_extremes(np.ones((2, 3)))

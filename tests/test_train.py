@@ -12,7 +12,7 @@ from ptwide import datasets
 from ptwide.activations import LINEAR, RELU, TANH, leaky_relu
 from ptwide.datasets import gen_random_label, gen_wei
 from ptwide.diagnostics import ACTIVE_CHUNK_BYTES
-from ptwide.embedding import EmbeddingSpec, embed_batch
+from ptwide.embedding import EmbeddingSpec, build_embedding, embed_batch
 from ptwide.errors import InvalidConfigError
 from ptwide.model import MF, NTK, OURS, ModelConfig, ScalingVariant, forward, init_params
 import ptwide.helper as helper_module
@@ -161,17 +161,17 @@ class TestGdStep:
 class TestRunTraining:
     def test_single_neuron_closed_form(self):
         # m = D = d = n = 1 with a linear activation contracts the residual
-        # by the fixed factor (1 - delta c^2 x^2) every step, so the loss
-        # obeys L_{k+1} = (1 - delta g)^2 L_k with g = x^2
+        # by the fixed factor (1 - delta c^2 x^2) every step, whatever the
+        # drawn w, so the loss obeys L_{k+1} = (1 - delta g)^2 L_k with
+        # g = c_hat^2 x^2
         x, delta = 0.6, 0.3
         cfg = ModelConfig(embedding=_identity_spec(1), activation=LINEAR,
-                          scaling=OURS, m=1)
-        params = _manual_params([[0.2]], [1.0])
+                          scaling=OURS, m=1, c_hat=1.5)
+        params = init_params(cfg)
         X, y = np.array([[x]]), np.array([1.0])
-        trace = run_training(cfg, TrainConfig(steps=20, delta=delta),
-                             X, y, init=params)
-        factor = (1.0 - delta * x * x) ** 2
-        expected = loss(np.array([0.2 * x]), y)
+        trace = run_training(cfg, TrainConfig(steps=20, delta=delta), X, y)
+        factor = (1.0 - delta * cfg.c_hat ** 2 * x * x) ** 2
+        expected = loss(params.c * params.W[0] * x, y)
         for lv in trace.losses:
             assert abs(lv - expected) < 1e-10 * max(1.0, expected)
             expected *= factor
@@ -372,9 +372,9 @@ class TestRunTraining:
                              ids=["random_feature", "identity", "one-block"])
     def test_peak_memory_is_the_live_arrays(self, kind, D, m, n):
         # a run has three phases, and the peak is the largest, not their sum.
-        # The start holds W, Phi_t, H_test0 and Ktest; W is the given init
-        # here, made before tracing, so the start stays below the loop
-        # (test_start_holds_no_training_embedding checks it where it binds).
+        # The start holds W, Phi_t, H_test0 and Ktest, and then H, formed
+        # from W and Phi (test_start_holds_no_training_embedding checks the
+        # start where it binds, at exp3's shape).
         # The loop has four m x n step buffers, the (m, n) copy of c, H_test0
         # and one (m, TEST_TILE) buffer per test column half of three full
         # tiles and a narrow one, but no (m, n_test) H_t, no Phi and no copy
@@ -388,10 +388,10 @@ class TestRunTraining:
         rng = np.random.default_rng(5)
         X, y = rng.standard_normal((n, d)), rng.standard_normal(n)
         test_X, test_y = rng.standard_normal((n_test, d)), rng.standard_normal(n_test)
-        params = init_params(cfg)
         tc = TrainConfig(steps=3, delta=0.1, snapshot_steps=(0, 3))
-        _, peak = traced_peak(run_training, cfg, tc, X, y, test_X=test_X, test_y=test_y,
-                              init=params)
+        _, peak = traced_peak(run_training, cfg, tc, X, y, test_X=test_X, test_y=test_y)
+        # W, H_test0 and Ktest, with Phi_t or, once it is dropped, Phi and H
+        start = (m * D + m * n_test + n * n_test + max(n_test * D, n * D + m * n)) * f8
         # H, Pacc, sigma, sigma' and the copy of c; H_test0, two tile
         # buffers; Kmat, Ktest
         loop = (5 * m * n + m * n_test + 2 * m * TEST_TILE + n * n + n * n_test) * f8
@@ -399,7 +399,7 @@ class TestRunTraining:
         # and one column block of Pacc @ Phi
         final = (3 * m * n + n * D + m * D) * f8 + W_BLOCK_BYTES
         # and the active fractions' temporaries at a record step
-        assert peak <= max(loop, final) + ACTIVE_CHUNK_BYTES + 2 ** 17
+        assert peak <= max(start, loop, final) + ACTIVE_CHUNK_BYTES + 2 ** 17
 
     @pytest.mark.parametrize("n_test", [150, 12], ids=["narrow-last-tile", "no-split"])
     def test_tile_width_leaves_the_bits_alone(self, monkeypatch, n_test):
@@ -483,55 +483,67 @@ class TestRunTraining:
         assert not traces[0].diverged and traces[0].losses[-1] < traces[0].losses[0]
         self._assert_same_arrays(*traces)
 
+    @staticmethod
+    def _assert_drawn_from_init_params(cfg, tc, X, y, test=None):
+        """A run draws W for the initial products, drops it during the loop
+        and draws it again for the final W and the step-0 snapshot; with a
+        test set it also drops the embedding weights and draws them again.
+        Each draw has the bits of init_params(cfg): the step-0 snapshot (H
+        from the second W, f from the first) and probe, the final W of a
+        run of no steps, and the embedding weights."""
+        test = test or {}
+        params = init_params(cfg)
+        state = forward(cfg, params, X)
+        trace = run_training(cfg, tc, X, y, **test)
+        still = run_training(cfg, dataclasses.replace(tc, steps=0, snapshot_steps=()),
+                             X, y, **test)
+        assert 0 in tc.snapshot_steps and not trace.diverged
+        H0, f0 = trace.snapshots[0]
+        assert H0.tobytes() == state.H.tobytes() and f0.tobytes() == state.f.tobytes()
+        if test:
+            probe = forward(cfg, params, test["test_X"]).H[:, 0]
+            assert trace.probe_snapshots[0].tobytes() == probe.tobytes()
+        assert still.final_params.W.tobytes() == params.W.tobytes()
+        assert not np.array_equal(trace.final_params.W, params.W)
+        ew = build_embedding(cfg.embedding)
+        for run in (trace, still):
+            drawn = run.final_params.embedding_weights
+            assert len(drawn.deep_layers) == len(ew.deep_layers)
+            for a, b in zip((ew.z, *ew.deep_layers), (drawn.z, *drawn.deep_layers)):
+                assert a.tobytes() == b.tobytes()
+        return trace
+
     @pytest.mark.parametrize("m, n", [(8, 5), (1024, 96)], ids=["one-block", "two-blocks"])
     @pytest.mark.parametrize("scaling", [OURS, NTK, MF], ids=lambda s: s.name)
-    def test_drawn_and_given_init_give_the_same_run(self, scaling, m, n):
-        # without init, W is drawn for the initial products, dropped during
-        # the loop and drawn again for the final W; that run is the one that
-        # init_params' W gives, bit for bit, and a given W is never written
+    def test_drawn_run_starts_from_init_params(self, scaling, m, n):
+        # one and two row blocks, and test column halves at two blocks
         assert (m * n * n >= TWO_BLOCK_MIN_MN2) == (m == 1024)
         spec = EmbeddingSpec(kind="random_feature", d=3, D=m, activation=TANH, seed=3)
         cfg = ModelConfig(embedding=spec, activation=TANH, scaling=scaling, m=m, seed=4)
         rng = np.random.default_rng(27)
         X, y = rng.standard_normal((n, 3)), rng.standard_normal(n)
-        test_X, test_y = rng.standard_normal((90, 3)), rng.standard_normal(90)
+        test = {"test_X": rng.standard_normal((90, 3)), "test_y": rng.standard_normal(90)}
         tc = TrainConfig(steps=6, delta=0.1, record_every=2, snapshot_steps=(0, 3, 6))
-        init = init_params(cfg)
-        W0 = init.W.copy()
-        given = run_training(cfg, tc, X, y, test_X=test_X, test_y=test_y, init=init)
-        drawn = run_training(cfg, tc, X, y, test_X=test_X, test_y=test_y)
-        assert init.W.tobytes() == W0.tobytes()
-        assert not np.shares_memory(given.final_params.W, init.W)
-        assert list(given.snapshots) == [0, 3, 6] and len(given.test_errors) == 4
-        assert not np.array_equal(given.final_params.W, W0)
-        self._assert_same_arrays(given, drawn)
+        trace = self._assert_drawn_from_init_params(cfg, tc, X, y, test)
+        assert list(trace.snapshots) == [0, 3, 6] and len(trace.test_errors) == 4
 
     @pytest.mark.parametrize("with_test", [True, False], ids=["test-set", "no-test-set"])
     @pytest.mark.parametrize("kind, depth", [("random_feature", 0), ("deep_random", 4)],
                              ids=["random_feature", "deep_random"])
-    def test_drawn_embedding_weights_are_the_given_ones(self, kind, depth, with_test):
-        # with a test set, a run that drew its parameters drops the embedding
-        # weights before H_test0 and draws them again (the D x D layer of
-        # deep_random too); they, and the run, have the bits of a run given
-        # init_params' weights, which it keeps
+    def test_drawn_embedding_weights_are_init_params_ones(self, kind, depth, with_test):
+        # with a test set the embedding weights are drawn twice (the D x D
+        # layer of deep_random too), without one once
         m = D = 64
         spec = EmbeddingSpec(kind=kind, d=3, D=D, depth=depth, activation=TANH, seed=3)
         cfg = ModelConfig(embedding=spec, activation=TANH, scaling=OURS, m=m, seed=4)
         rng = np.random.default_rng(28)
         X, y = rng.standard_normal((12, 3)), rng.standard_normal(12)
         test = ({"test_X": rng.standard_normal((30, 3)), "test_y": rng.standard_normal(30)}
-                if with_test else {})
+                if with_test else None)
         tc = TrainConfig(steps=6, delta=0.1, record_every=2, snapshot_steps=(0, 3, 6))
-        init = init_params(cfg)
-        given = run_training(cfg, tc, X, y, init=init, **test)
-        drawn = run_training(cfg, tc, X, y, **test)
-        assert given.final_params.embedding_weights is init.embedding_weights
-        assert len(given.test_errors) == (4 if with_test else 0)
-        self._assert_same_arrays(given, drawn)
-        ew, ew_drawn = init.embedding_weights, drawn.final_params.embedding_weights
-        assert len(ew_drawn.deep_layers) == len(ew.deep_layers) == (kind == "deep_random")
-        for a, b in zip((ew.z, *ew.deep_layers), (ew_drawn.z, *ew_drawn.deep_layers)):
-            assert a.tobytes() == b.tobytes()
+        trace = self._assert_drawn_from_init_params(cfg, tc, X, y, test)
+        assert len(trace.final_params.embedding_weights.deep_layers) == (kind == "deep_random")
+        assert len(trace.test_errors) == (4 if with_test else 0)
 
     @pytest.mark.parametrize("d, m, n, D", [(50, 1024, 200, 1024), (3, 512, 300, 600)],
                              ids=["exp3", "n-above-256"])
@@ -586,17 +598,6 @@ class TestRunTraining:
         assert not trace.diverged
         assert peak <= 1.75 * m * D * 8
 
-    @pytest.mark.parametrize("W, c", [((4, 3), (4,)), ((8, 2), (8,)), ((8, 3), (4,))],
-                             ids=["narrow-model", "short-rows", "short-c"])
-    def test_init_must_fit_the_config(self, W, c):
-        # an init of another width used to train and return a W of its shape
-        cfg = ModelConfig(embedding=_identity_spec(3), activation=TANH,
-                          scaling=OURS, m=8, seed=1)
-        init = _manual_params(np.ones(W), np.ones(c))
-        with pytest.raises(InvalidConfigError, match=re.escape(
-                f"W of shape {W} and c of shape {c}, expected (8, 3) and (8,)")):
-            run_training(cfg, TrainConfig(steps=2), np.ones((4, 3)), np.zeros(4), init=init)
-
     @pytest.mark.parametrize("y", [np.zeros(1), np.zeros((4, 1)), np.zeros(3)],
                              ids=["one-target", "column", "short"])
     def test_targets_must_match_the_inputs(self, y):
@@ -620,7 +621,7 @@ class TestRunTraining:
         X, y = rng.standard_normal((3, 2)), rng.standard_normal(3)
         snaps = (0, 1, steps) if steps else (0,)
         trace = run_training(cfg, TrainConfig(steps=steps, delta=delta, snapshot_steps=snaps,
-                                              record_eta=False), X, y, init=params)
+                                              record_eta=False), X, y)
         assert trace.diverged == (delta > 1)
         assert list(trace.snapshots) == (list(snaps[:2]) if trace.diverged else list(snaps))
         assert trace.snapshots[0][0].tobytes() == forward(cfg, params, X).H.tobytes()
@@ -662,18 +663,19 @@ class TestRunTraining:
         cfg = ModelConfig(embedding=_identity_spec(3), activation=RELU,
                           scaling=OURS, m=8, seed=7)
         params = init_params(cfg)
-        W0 = params.W.copy()
         rng = np.random.default_rng(17)
         X, y = rng.standard_normal((5, 3)), rng.standard_normal(5)
         test_X, test_y = rng.standard_normal((4, 3)), rng.standard_normal(4)
+        given = [a.copy() for a in (X, y, test_X, test_y)]
         trace = run_training(cfg, TrainConfig(steps=20, delta=0.5,
                                               snapshot_steps=(0, 10, 20)),
-                             X, y, test_X=test_X, test_y=test_y, init=params)
+                             X, y, test_X=test_X, test_y=test_y)
         np.testing.assert_array_equal(trace.snapshots[0][0],
                                       forward(cfg, params, X).H)
         np.testing.assert_array_equal(trace.probe_snapshots[0],
                                       forward(cfg, params, test_X).H[:, 0])
-        np.testing.assert_array_equal(params.W, W0)
+        for a, b in zip((X, y, test_X, test_y), given):
+            assert a.tobytes() == b.tobytes()
         assert not np.array_equal(trace.snapshots[20][0], trace.snapshots[0][0])
 
     def test_smaller_steps_converge_to_flow(self):
@@ -709,10 +711,8 @@ class TestRunTraining:
                           scaling=OURS, m=6, seed=2)
         params = init_params(cfg)
         trace = run_training(cfg, TrainConfig(steps=25, record_eta=False),
-                             np.ones((3, 2)), np.zeros(3), init=params)
-        assert trace.final_params.c is params.c or np.array_equal(
-            trace.final_params.c, params.c)
-        np.testing.assert_array_equal(trace.final_params.c, params.c)
+                             np.ones((3, 2)), np.zeros(3))
+        assert trace.final_params.c.tobytes() == params.c.tobytes()
 
     def test_divergence_flagged(self):
         cfg = ModelConfig(embedding=_identity_spec(2), activation=LINEAR,
